@@ -1,6 +1,5 @@
 #include "adaptive/online.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "support/error.h"
@@ -8,16 +7,6 @@
 namespace drsm::adaptive {
 
 using protocols::ProtocolKind;
-
-namespace {
-
-obs::AccessStatsOptions telemetry_options(std::size_t window) {
-  obs::AccessStatsOptions options;
-  options.window_ops = std::max<std::size_t>(1, window / 2);
-  return options;
-}
-
-}  // namespace
 
 OnlineController::OnlineController(dsm::ConcurrentSharedMemory& memory,
                                    const Options& options)
@@ -27,7 +16,7 @@ OnlineController::OnlineController(dsm::ConcurrentSharedMemory& memory,
                                   memory.options().costs, 1},
                 options.candidates),
       ring_(options.ring_capacity),
-      stats_(telemetry_options(options.window)),
+      stats_(AdaptiveSelector::recent_mix_options(options.window)),
       current_(memory.options().num_objects, memory.options().protocol),
       cooldown_until_(memory.options().num_objects, 0) {
   DRSM_CHECK(options_.decide_every >= 1, "decide_every must be positive");
@@ -58,26 +47,18 @@ void OnlineController::decide() {
   for (const auto& hot : stats_.hot_set(options_.hot_k)) {
     const ObjectId object = hot.object;
     if (object >= current_.size()) continue;
-    if (cooldown_until_[object] > passes_) continue;
+    if (cooldown_until_[object] >= passes_) continue;
     const auto& lifetime = stats_.object(object);
     if (lifetime.reads + lifetime.writes < options_.min_observations)
       continue;
-    const auto mix = stats_.node_mix(object);
-    std::uint64_t recent = 0;
-    for (std::size_t n = 0; n < mix.size() && n < clients; ++n)
-      recent += mix[n].reads + mix[n].writes;
-    if (recent == 0) continue;
-    const workload::WorkloadSpec spec =
-        AdaptiveSelector::spec_from_telemetry(stats_, object, clients);
-    const auto best = selector_.classify(spec);
-    const ProtocolKind incumbent = current_[object];
-    if (best.protocol == incumbent) continue;
-    const double incumbent_acc = selector_.solver().acc(incumbent, spec);
-    if (best.predicted_acc >=
-        (1.0 - options_.hysteresis) * incumbent_acc)
-      continue;
-    memory_.migrate(object, best.protocol);
-    current_[object] = best.protocol;
+    const auto spec =
+        AdaptiveSelector::spec_from_node_mix(stats_.node_mix(object), clients);
+    if (!spec) continue;
+    const ProtocolKind next =
+        selector_.choose(current_[object], *spec, options_.hysteresis);
+    if (next == current_[object]) continue;
+    memory_.migrate(object, next);
+    current_[object] = next;
     cooldown_until_[object] = passes_ + options_.cooldown_passes;
     ++migrations_;
   }

@@ -14,8 +14,8 @@
 //
 // record() is one lock-free ring push (drops are counted, not blocked on:
 // telemetry is sampling, losing a record under burst cannot corrupt
-// anything).  Decisions follow the same discipline as the inline loop —
-// per-object hysteresis band over the incumbent's re-priced acc — plus a
+// anything).  Decisions go through the one hysteresis gate the inline loop
+// uses too (AdaptiveSelector::choose, fed by spec_from_node_mix), plus a
 // per-object cooldown in decision passes, since a live migration has a
 // real cost (drain + seed) that re-pricing does not see.
 //
@@ -51,7 +51,8 @@ class OnlineController {
     std::size_t min_observations = 64;
     /// Relative acc improvement a challenger needs over the incumbent.
     double hysteresis = 0.05;
-    /// Decision passes an object sits out after migrating.
+    /// Decision passes an object sits out after migrating (0 = none: it
+    /// is priced again on the very next pass).
     std::size_t cooldown_passes = 4;
     /// Recent-mix span in records (telemetry window is half: last closed
     /// plus current window).
@@ -122,7 +123,7 @@ class OnlineController {
   sim::MpscRing<Record> ring_;
   obs::AccessStats stats_;
   std::vector<protocols::ProtocolKind> current_;   // controller's view
-  std::vector<std::uint64_t> cooldown_until_;      // pass index, per object
+  std::vector<std::uint64_t> cooldown_until_;      // last pass it sits out
   std::uint64_t records_ = 0;
   std::uint64_t since_decide_ = 0;
   std::uint64_t passes_ = 0;

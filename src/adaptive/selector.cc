@@ -1,7 +1,6 @@
 #include "adaptive/selector.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "support/error.h"
@@ -10,44 +9,6 @@ namespace drsm::adaptive {
 
 using fsm::OpKind;
 using protocols::ProtocolKind;
-
-WorkloadEstimator::WorkloadEstimator(std::size_t num_clients,
-                                     std::size_t window)
-    : num_clients_(num_clients), window_(window), counts_(num_clients) {
-  DRSM_CHECK(window_ >= 1, "estimator window must be positive");
-  DRSM_CHECK(num_clients_ >= 1, "need at least one client");
-}
-
-void WorkloadEstimator::observe(NodeId node, OpKind op) {
-  DRSM_CHECK(node < num_clients_, "estimator observes client operations");
-  DRSM_CHECK(op == OpKind::kRead || op == OpKind::kWrite,
-             "estimator tracks reads and writes");
-  window_contents_.emplace_back(node, op);
-  ++counts_[node][op == OpKind::kWrite ? 1 : 0];
-  if (window_contents_.size() > window_) {
-    auto [old_node, old_op] = window_contents_.front();
-    window_contents_.pop_front();
-    --counts_[old_node][old_op == OpKind::kWrite ? 1 : 0];
-  }
-}
-
-workload::WorkloadSpec WorkloadEstimator::empirical_spec() const {
-  DRSM_CHECK(!window_contents_.empty(), "no observations yet");
-  const double total = static_cast<double>(window_contents_.size());
-  workload::WorkloadSpec spec;
-  spec.name = "empirical";
-  for (NodeId node = 0; node < num_clients_; ++node) {
-    const double reads = static_cast<double>(counts_[node][0]);
-    const double writes = static_cast<double>(counts_[node][1]);
-    if (reads == 0.0 && writes == 0.0) continue;
-    // Keep both event kinds for any active node so the cached chain
-    // structure stays stable while the mix drifts within an epoch.
-    spec.events.push_back({node, OpKind::kRead, reads / total});
-    spec.events.push_back({node, OpKind::kWrite, writes / total});
-  }
-  spec.validate();
-  return spec;
-}
 
 AdaptiveSelector::AdaptiveSelector(
     const sim::SystemConfig& config,
@@ -71,16 +32,25 @@ AdaptiveSelector::Classification AdaptiveSelector::classify(
   return best;
 }
 
-workload::WorkloadSpec AdaptiveSelector::spec_from_telemetry(
-    const obs::AccessStats& stats, ObjectId object,
+ProtocolKind AdaptiveSelector::choose(ProtocolKind incumbent,
+                                      const workload::WorkloadSpec& spec,
+                                      double hysteresis) {
+  const Classification best = classify(spec);
+  if (best.protocol == incumbent) return incumbent;
+  const double incumbent_acc = solver_.acc(incumbent, spec);
+  return best.predicted_acc < (1.0 - hysteresis) * incumbent_acc
+             ? best.protocol
+             : incumbent;
+}
+
+std::optional<workload::WorkloadSpec> AdaptiveSelector::spec_from_node_mix(
+    const std::vector<obs::AccessStats::NodeMix>& mix,
     std::size_t num_clients) {
-  const std::vector<obs::AccessStats::NodeMix> mix = stats.node_mix(object);
-  double total = 0.0;
   const std::size_t nodes = std::min(mix.size(), num_clients);
+  double total = 0.0;
   for (std::size_t node = 0; node < nodes; ++node)
     total += static_cast<double>(mix[node].reads + mix[node].writes);
-  DRSM_CHECK(total > 0.0,
-             "spec_from_telemetry: no recent client accesses to the object");
+  if (total == 0.0) return std::nullopt;
   workload::WorkloadSpec spec;
   spec.name = "telemetry";
   for (NodeId node = 0; node < nodes; ++node) {
@@ -94,27 +64,32 @@ workload::WorkloadSpec AdaptiveSelector::spec_from_telemetry(
   return spec;
 }
 
-AdaptiveSelector::Classification AdaptiveSelector::classify_object(
-    const obs::AccessStats& stats, ObjectId object) {
-  return classify(spec_from_telemetry(stats, object, num_clients_));
+workload::WorkloadSpec AdaptiveSelector::spec_from_telemetry(
+    const obs::AccessStats& stats, ObjectId object,
+    std::size_t num_clients) {
+  std::optional<workload::WorkloadSpec> spec =
+      spec_from_node_mix(stats.node_mix(object), num_clients);
+  DRSM_CHECK(spec.has_value(),
+             "spec_from_telemetry: no recent client accesses to the object");
+  return std::move(*spec);
 }
 
-namespace {
-
-// Telemetry windows are half the requested recent-mix span: node_mix sums
-// the last closed window plus the current partial one.
-obs::AccessStatsOptions telemetry_options(std::size_t window) {
+obs::AccessStatsOptions AdaptiveSelector::recent_mix_options(
+    std::size_t window) {
   obs::AccessStatsOptions options;
   options.window_ops = std::max<std::size_t>(1, window / 2);
   return options;
 }
 
-}  // namespace
+AdaptiveSelector::Classification AdaptiveSelector::classify_object(
+    const obs::AccessStats& stats, ObjectId object) {
+  return classify(spec_from_telemetry(stats, object, num_clients_));
+}
 
 AdaptiveSharedMemory::AdaptiveSharedMemory(const Options& options)
     : options_(options),
       memory_(options.memory),
-      telemetry_(telemetry_options(options.window)),
+      telemetry_(AdaptiveSelector::recent_mix_options(options.window)),
       selector_(
           sim::SystemConfig{options.memory.num_clients, options.memory.costs,
                             1},
@@ -139,45 +114,6 @@ void AdaptiveSharedMemory::observe(NodeId node, ObjectId object,
   maybe_reclassify();
 }
 
-namespace {
-
-// A recent per-node mix as an empirical spec; false when the window holds
-// no client accesses (nothing to classify from).
-bool spec_from_mix(const std::vector<obs::AccessStats::NodeMix>& mix,
-                   workload::WorkloadSpec& out) {
-  double total = 0.0;
-  for (const auto& m : mix)
-    total += static_cast<double>(m.reads + m.writes);
-  if (total == 0.0) return false;
-  out.name = "telemetry";
-  out.events.clear();
-  for (std::size_t node = 0; node < mix.size(); ++node) {
-    const double reads = static_cast<double>(mix[node].reads);
-    const double writes = static_cast<double>(mix[node].writes);
-    if (reads == 0.0 && writes == 0.0) continue;
-    out.events.push_back(
-        {static_cast<NodeId>(node), OpKind::kRead, reads / total});
-    out.events.push_back(
-        {static_cast<NodeId>(node), OpKind::kWrite, writes / total});
-  }
-  out.validate();
-  return true;
-}
-
-}  // namespace
-
-ProtocolKind AdaptiveSharedMemory::pick(ProtocolKind current,
-                                        const workload::WorkloadSpec& spec) {
-  const auto best = selector_.classify(spec);
-  if (best.protocol == current) return current;
-  // The incumbent is priced on the same spec; a challenger must clear the
-  // hysteresis band, so near-breakeven epochs keep the incumbent.
-  const double current_acc = selector_.solver().acc(current, spec);
-  return best.predicted_acc < (1.0 - options_.hysteresis) * current_acc
-             ? best.protocol
-             : current;
-}
-
 void AdaptiveSharedMemory::maybe_reclassify() {
   if (++ops_in_epoch_ < options_.epoch_ops) return;
   ops_in_epoch_ = 0;
@@ -196,13 +132,14 @@ void AdaptiveSharedMemory::maybe_reclassify() {
         mix[n].writes += object_mix[n].writes;
       }
     }
-    workload::WorkloadSpec spec;
-    if (spec_from_mix(mix, spec)) {
-      const ProtocolKind next = pick(memory_.protocol(), spec);
-      if (next != memory_.protocol()) {
-        memory_.switch_protocol(next);
-        ++switches_;
-      }
+    const auto spec = AdaptiveSelector::spec_from_node_mix(mix, clients);
+    const ProtocolKind current = memory_.protocol();
+    const ProtocolKind next =
+        spec ? selector_.choose(current, *spec, options_.hysteresis)
+             : current;
+    if (next != current) {
+      memory_.switch_protocol(next);
+      ++switches_;
     }
   } else {
     const std::size_t objects =
@@ -211,12 +148,13 @@ void AdaptiveSharedMemory::maybe_reclassify() {
       const ObjectId object = static_cast<ObjectId>(j);
       const auto& stats = telemetry_.object(object);
       if (stats.reads + stats.writes < options_.min_observations) continue;
-      auto mix = telemetry_.node_mix(object);
-      if (mix.size() > clients) mix.resize(clients);
-      workload::WorkloadSpec spec;
-      if (!spec_from_mix(mix, spec)) continue;
-      const ProtocolKind next = pick(memory_.object_protocol(object), spec);
-      if (next != memory_.object_protocol(object)) {
+      const auto spec = AdaptiveSelector::spec_from_node_mix(
+          telemetry_.node_mix(object), clients);
+      if (!spec) continue;
+      const ProtocolKind current = memory_.object_protocol(object);
+      const ProtocolKind next =
+          selector_.choose(current, *spec, options_.hysteresis);
+      if (next != current) {
         memory_.switch_protocol(object, next);
         ++switches_;
       }

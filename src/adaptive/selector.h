@@ -3,16 +3,18 @@
 // development of adaptive data replication coherence protocols with
 // self-tuning capability based on run-time information".
 //
-// WorkloadEstimator turns a window of observed operations into an empirical
-// sample space (the paper notes the five parameters "may be obtained by
-// estimating the relative frequencies of events in some real distributed
-// computation"); AdaptiveSelector classifies it with the analytic model;
-// AdaptiveSharedMemory closes the loop by switching a live SharedMemory to
-// the predicted-cheapest protocol at epoch boundaries.
+// obs::AccessStats turns the observed operations into a recent per-node
+// mix (the paper notes the five parameters "may be obtained by estimating
+// the relative frequencies of events in some real distributed
+// computation"); AdaptiveSelector converts that mix into an empirical
+// sample space, classifies it with the analytic model, and owns the one
+// hysteresis gate every adaptive loop decides with.  AdaptiveSharedMemory
+// closes the loop inline by switching a live SharedMemory at epoch
+// boundaries; OnlineController (online.h) runs the same gate beside the
+// concurrent runtime.
 #pragma once
 
-#include <array>
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "analytic/solver.h"
@@ -21,28 +23,6 @@
 #include "workload/spec.h"
 
 namespace drsm::adaptive {
-
-/// Sliding-window estimator of the per-operation sample space.
-class WorkloadEstimator {
- public:
-  explicit WorkloadEstimator(std::size_t num_clients,
-                             std::size_t window = 512);
-
-  void observe(NodeId node, fsm::OpKind op);
-
-  std::size_t observations() const { return window_contents_.size(); }
-
-  /// Empirical sample space over the client nodes seen in the window.
-  /// Requires at least one observation.
-  workload::WorkloadSpec empirical_spec() const;
-
- private:
-  std::size_t num_clients_;
-  std::size_t window_;
-  std::deque<std::pair<NodeId, fsm::OpKind>> window_contents_;
-  // counts[node][0] = reads, counts[node][1] = writes, within the window
-  std::vector<std::array<std::size_t, 2>> counts_;
-};
 
 /// Classifier: picks the acc-minimizing protocol for a workload.
 class AdaptiveSelector {
@@ -56,6 +36,22 @@ class AdaptiveSelector {
   };
   Classification classify(const workload::WorkloadSpec& spec);
 
+  /// The hysteresis gate: classifies `spec`, then re-prices `incumbent` on
+  /// the same spec, and returns the challenger only when its predicted acc
+  /// beats the incumbent's by the relative `hysteresis` band (0 still
+  /// demands a strict improvement) — otherwise the incumbent, so
+  /// near-breakeven workloads do not flap.
+  protocols::ProtocolKind choose(protocols::ProtocolKind incumbent,
+                                 const workload::WorkloadSpec& spec,
+                                 double hysteresis);
+
+  /// A recent per-node read/write mix (obs::AccessStats::node_mix rows) as
+  /// an empirical sample space over the client rows `node < num_clients`;
+  /// nullopt when those rows hold no accesses.
+  static std::optional<workload::WorkloadSpec> spec_from_node_mix(
+      const std::vector<obs::AccessStats::NodeMix>& mix,
+      std::size_t num_clients);
+
   /// Builds an empirical per-object sample space from live telemetry: the
   /// recent (last closed + current window) per-node read/write mix of
   /// `object`, restricted to client nodes.  Requires at least one client
@@ -64,14 +60,17 @@ class AdaptiveSelector {
       const obs::AccessStats& stats, ObjectId object,
       std::size_t num_clients);
 
+  /// Telemetry options whose recent mix spans about `window` accesses:
+  /// node_mix sums the last closed window plus the current partial one, so
+  /// each window is half the span.
+  static obs::AccessStatsOptions recent_mix_options(std::size_t window);
+
   /// Classifies `object` straight from telemetry — the observe-path hook:
   /// feed an AccessStats from the runtime's event stream, ask which
   /// protocol the analytic model predicts cheapest for what the object is
   /// *currently* experiencing.
   Classification classify_object(const obs::AccessStats& stats,
                                  ObjectId object);
-
-  analytic::AccSolver& solver() { return solver_; }
 
  private:
   analytic::AccSolver solver_;
@@ -84,11 +83,9 @@ class AdaptiveSelector {
 /// mode) one per shared object, since the paper's analysis treats objects
 /// independently.  Decisions are driven by the live obs::AccessStats
 /// telemetry (the windowed per-node mix each object is *currently*
-/// experiencing), not by a separate estimator: the same sensor that
-/// reports hot sets and activity-center drift feeds the classifier.  A
-/// hysteresis band keeps the selection stable: the incumbent protocol is
-/// re-priced on every epoch's spec, and a challenger wins only by beating
-/// it by the configured margin — near-breakeven workloads do not flap.
+/// experiencing): the same sensor that reports hot sets and
+/// activity-center drift feeds the classifier, and AdaptiveSelector::choose
+/// keeps the selection stable under the configured hysteresis band.
 class AdaptiveSharedMemory {
  public:
   struct Options {
@@ -132,10 +129,6 @@ class AdaptiveSharedMemory {
  private:
   void observe(NodeId node, ObjectId object, fsm::OpKind op);
   void maybe_reclassify();
-  /// The hysteresis gate: best candidate for `spec`, unless the incumbent
-  /// is within the band — then the incumbent stays.
-  protocols::ProtocolKind pick(protocols::ProtocolKind current,
-                               const workload::WorkloadSpec& spec);
 
   Options options_;
   dsm::SharedMemory memory_;

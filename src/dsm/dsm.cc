@@ -30,8 +30,6 @@ SharedMemory::SharedMemory(const Options& options) : options_(options) {
   for (std::size_t j = 0; j < options_.num_objects; ++j)
     objects_.emplace_back(options_.protocol, to_sim_config(options_),
                           full_roster(options_.num_clients));
-  object_protocol_.assign(options_.num_objects, options_.protocol);
-  last_value_.resize(options_.num_objects);
   object_cost_.assign(options_.num_objects, 0.0);
 }
 
@@ -59,7 +57,6 @@ std::uint64_t SharedMemory::read(NodeId node, ObjectId object) {
 void SharedMemory::write(NodeId node, ObjectId object, std::uint64_t value) {
   check_ids(node, object);
   charge(object, objects_[object].execute(node, fsm::OpKind::kWrite, value));
-  last_value_[object] = value;
 }
 
 void SharedMemory::eject(NodeId node, ObjectId object) {
@@ -85,23 +82,13 @@ void SharedMemory::switch_protocol(protocols::ProtocolKind protocol) {
 void SharedMemory::switch_protocol(ObjectId object,
                                    protocols::ProtocolKind protocol) {
   DRSM_CHECK(object < options_.num_objects, "object index out of range");
-  if (protocol == object_protocol_[object]) return;
-  object_protocol_[object] = protocol;
-  objects_[object] = sim::SequentialRuntime(
-      protocol, to_sim_config(options_), full_roster(options_.num_clients));
-  // Warm the new replicas with the preserved value; the migration is not
-  // charged to the cost counters.
-  if (last_value_[object].has_value()) {
-    const NodeId home = static_cast<NodeId>(options_.num_clients);
-    objects_[object].execute(home, fsm::OpKind::kWrite,
-                             *last_value_[object]);
-  }
+  objects_[object].migrate(protocol);  // the seed cost is not charged
 }
 
 protocols::ProtocolKind SharedMemory::object_protocol(
     ObjectId object) const {
   DRSM_CHECK(object < options_.num_objects, "object index out of range");
-  return object_protocol_[object];
+  return objects_[object].protocol();
 }
 
 double SharedMemory::average_cost() const {

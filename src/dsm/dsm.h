@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "protocols/protocol.h"
@@ -46,14 +45,15 @@ class SharedMemory {
   /// been sequenced.
   void sync(NodeId node, ObjectId object);
 
-  /// Switches the coherence protocol for every object.  Replicas are
-  /// re-initialized with the current object values; the switch itself is
-  /// not charged to the communication-cost counters.
+  /// Switches the coherence protocol for every object (see below).
   void switch_protocol(protocols::ProtocolKind protocol);
 
   /// Per-object protocol selection: objects are independent (each has its
   /// own protocol processes), so different objects may run different
-  /// protocols — the substrate for workload-aware data placement.
+  /// protocols — the substrate for workload-aware data placement.  The
+  /// switch is sim::SequentialRuntime::migrate at quiescence: values and
+  /// the version sequence carry over, and the seed write that warms the
+  /// new replicas is not charged to the communication-cost counters.
   void switch_protocol(ObjectId object, protocols::ProtocolKind protocol);
   protocols::ProtocolKind object_protocol(ObjectId object) const;
 
@@ -79,8 +79,6 @@ class SharedMemory {
 
   Options options_;
   std::vector<sim::SequentialRuntime> objects_;  // one runtime per object
-  std::vector<protocols::ProtocolKind> object_protocol_;
-  std::vector<std::optional<std::uint64_t>> last_value_;  // per object
   std::vector<Cost> object_cost_;
   Cost total_cost_ = 0.0;
   Cost last_op_cost_ = 0.0;

@@ -163,7 +163,8 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
 namespace {
 
 /// Recursive-descent JSON parser over a string_view; positions are byte
-/// offsets for error messages.
+/// offsets for error messages.  Nesting is bounded so a hostile document
+/// fails cleanly instead of overflowing the stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -207,8 +208,14 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth)
+          fail(strfmt("nesting deeper than %d levels", kMaxDepth));
+        JsonValue out = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return out;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -338,8 +345,11 @@ class Parser {
     return JsonValue(value);
   }
 
+  static constexpr int kMaxDepth = 256;  // our reports nest a few levels
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the current position
 };
 
 }  // namespace

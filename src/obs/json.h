@@ -102,7 +102,8 @@ class JsonValue {
 };
 
 /// Parses standard JSON.  Throws drsm::Error (with a byte offset) on any
-/// syntax error or trailing garbage.
+/// syntax error, trailing garbage, or arrays/objects nested deeper than a
+/// fixed bound (256 levels).
 JsonValue parse_json(std::string_view text);
 
 /// Writes `text` to `path` atomically enough for our purposes (truncate +

@@ -1,5 +1,5 @@
-// Tests for the self-tuning extension: parameter estimation, the analytic
-// classifier, and the protocol-switching shared memory.
+// Tests for the self-tuning extension: the analytic classifier and the
+// protocol-switching shared memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@ namespace {
 
 using adaptive::AdaptiveSelector;
 using adaptive::AdaptiveSharedMemory;
-using adaptive::WorkloadEstimator;
 using fsm::OpKind;
 using protocols::ProtocolKind;
 
@@ -23,32 +22,6 @@ sim::SystemConfig make_config(std::size_t n, double s, double p) {
   config.costs.s = s;
   config.costs.p = p;
   return config;
-}
-
-TEST(WorkloadEstimator, WindowedFrequencies) {
-  WorkloadEstimator estimator(2, /*window=*/4);
-  estimator.observe(0, OpKind::kWrite);
-  estimator.observe(0, OpKind::kWrite);
-  estimator.observe(1, OpKind::kRead);
-  estimator.observe(0, OpKind::kRead);
-  auto spec = estimator.empirical_spec();
-  // Node 0: 1 read + 2 writes; node 1: 1 read.
-  double node0_write = 0.0, node1_read = 0.0;
-  for (const auto& e : spec.events) {
-    if (e.node == 0 && e.op == OpKind::kWrite) node0_write = e.probability;
-    if (e.node == 1 && e.op == OpKind::kRead) node1_read = e.probability;
-  }
-  EXPECT_DOUBLE_EQ(node0_write, 0.5);
-  EXPECT_DOUBLE_EQ(node1_read, 0.25);
-
-  // Rolling: a fifth observation evicts the first.
-  estimator.observe(1, OpKind::kRead);
-  spec = estimator.empirical_spec();
-  for (const auto& e : spec.events) {
-    if (e.node == 0 && e.op == OpKind::kWrite) {
-      EXPECT_DOUBLE_EQ(e.probability, 0.25);
-    }
-  }
 }
 
 TEST(AdaptiveSelector, PicksUpdateProtocolForReadSharedWorkload) {

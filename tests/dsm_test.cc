@@ -1,6 +1,9 @@
 // Tests for the application-facing SharedMemory API.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analytic/closed_form.h"
 #include "dsm/dsm.h"
 #include "support/rng.h"
@@ -80,6 +83,61 @@ TEST(SharedMemory, SwitchProtocolPreservesValues) {
   EXPECT_DOUBLE_EQ(memory.total_cost(), 0.0);
   EXPECT_EQ(memory.read(2, 1), 1001u);
   EXPECT_EQ(memory.read(0, 3), 1003u);
+}
+
+TEST(SharedMemory, EveryOrderedSwitchKeepsValuesAndIsFree) {
+  // All 64 (from, to) pairs, switching one object or the whole memory.
+  // Clients and the home node write every object before the switch; the
+  // last writer rotates across objects.
+  constexpr std::size_t kObjects = 4;
+  constexpr NodeId kHome = 3;
+  for (ProtocolKind from : protocols::kAllProtocols) {
+    for (ProtocolKind to : protocols::kAllProtocols) {
+      for (const bool whole_memory : {false, true}) {
+        SCOPED_TRACE(std::string(protocols::to_string(from)) + " -> " +
+                     protocols::to_string(to) +
+                     (whole_memory ? ", whole memory" : ", object 1"));
+        SharedMemory memory(make_options(from, kObjects));
+        std::uint64_t value = 0;
+        std::vector<std::uint64_t> latest(kObjects);
+        for (ObjectId j = 0; j < kObjects; ++j) {
+          for (NodeId k = 0; k <= kHome; ++k) {
+            latest[j] = ++value;
+            memory.write(static_cast<NodeId>((j + k) % (kHome + 1)), j,
+                         latest[j]);
+          }
+          memory.read(static_cast<NodeId>(j % kHome), j);
+        }
+        std::vector<std::string> states;
+        for (ObjectId j = 0; j < kObjects; ++j)
+          for (NodeId node = 0; node <= kHome; ++node)
+            states.push_back(memory.state_name(node, j));
+
+        const Cost before = memory.total_cost();
+        if (whole_memory)
+          memory.switch_protocol(to);
+        else
+          memory.switch_protocol(1, to);
+        EXPECT_DOUBLE_EQ(memory.total_cost(), before);
+
+        for (ObjectId j = 0; j < kObjects; ++j)
+          EXPECT_EQ(memory.object_protocol(j),
+                    whole_memory || j == 1 ? to : from)
+              << "object " << j;
+        if (from == to) {
+          std::size_t i = 0;
+          for (ObjectId j = 0; j < kObjects; ++j)
+            for (NodeId node = 0; node <= kHome; ++node)
+              EXPECT_EQ(memory.state_name(node, j), states[i++])
+                  << "node " << node << ", object " << j;
+        }
+        for (ObjectId j = 0; j < kObjects; ++j)
+          for (NodeId node = 0; node <= kHome; ++node)
+            EXPECT_EQ(memory.read(node, j), latest[j])
+                << "node " << node << ", object " << j;
+      }
+    }
+  }
 }
 
 TEST(SharedMemory, RandomizedCrossProtocolConsistency) {

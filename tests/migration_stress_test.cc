@@ -225,6 +225,79 @@ TEST(OnlineController, PhaseChangeDrivesVerifiedMigrations) {
   EXPECT_GT(controller.reclassify_ms(), 0.0);
 }
 
+TEST(OnlineController, CooldownSitsOutThePassAfterAMigration) {
+  // One object whose mix flips every 128-op decision pass between a
+  // shared-read phase (Dragon wins) and producer write runs (Berkeley
+  // wins).  Each pass sees only the latest phase, so without a cooldown
+  // the controller would chase every flip; cooldown_passes = 1 must make
+  // the object sit out the pass right after each migration.
+  ShardedOracle oracle(1, OracleMode::kSequential);
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 2;
+  options.num_objects = 1;
+  options.num_shards = 1;
+  options.shard_taps = {oracle.tap(0)};
+  ConcurrentSharedMemory memory(options);
+
+  adaptive::OnlineController::Options copts;
+  copts.decide_every = 128;
+  copts.hot_k = 1;
+  copts.min_observations = 64;
+  copts.hysteresis = 0.05;
+  copts.cooldown_passes = 1;
+  copts.window = 256;
+  copts.candidates = {ProtocolKind::kBerkeley, ProtocolKind::kDragon};
+  adaptive::OnlineController controller(memory, copts);
+  wire(memory, 0, controller);
+  wire(memory, 1, controller);
+
+  auto& s0 = memory.session(0);
+  auto& s1 = memory.session(1);
+  const auto shared_reads = [&] {
+    for (std::size_t i = 0; i < 128; ++i) {
+      if (i % 20 == 7) {
+        s1.write_unique(0);
+        s1.drain();
+      } else {
+        (i % 2 == 0 ? s0 : s1).read_sync(0);
+      }
+    }
+  };
+  const auto write_runs = [&] {
+    for (std::size_t i = 0; i < 128; ++i) {
+      if (i % 10 == 3) {
+        s1.read_sync(0);
+      } else {
+        s0.write_unique(0);
+        s0.drain();
+      }
+    }
+  };
+
+  bool migrated_last_pass = false;
+  for (std::uint64_t pass = 1; pass <= 10; ++pass) {
+    const std::uint64_t migrations = controller.migrations();
+    if (pass % 2 == 1)
+      shared_reads();
+    else
+      write_runs();
+    controller.poll();
+    ASSERT_EQ(controller.passes(), pass);
+    const bool migrated = controller.migrations() > migrations;
+    EXPECT_FALSE(migrated && migrated_last_pass)
+        << "pass " << pass << " migrated during its cooldown";
+    migrated_last_pass = migrated;
+  }
+  EXPECT_GE(controller.migrations(), 2u);
+
+  memory.stop();
+  ASSERT_FALSE(memory.failed()) << memory.error();
+  EXPECT_EQ(memory.object_protocol(0), controller.object_protocol(0));
+  oracle.finish();
+  EXPECT_TRUE(oracle.ok()) << oracle.violations().front();
+}
+
 TEST(OnlineController, BackgroundThreadUnderConcurrentLoad) {
   // The controller thread races four real client threads: records stream
   // through the ring, decisions run concurrently with traffic, and every

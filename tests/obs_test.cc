@@ -19,9 +19,10 @@ namespace drsm {
 namespace {
 
 // -- tiny JSON well-formedness validator ------------------------------------
-// Emission-only library (src/obs has no parser by design), so the tests
-// carry their own: a recursive-descent checker that accepts exactly the
-// JSON grammar. Returns the position after the value, or npos on error.
+// Independent of obs::parse_json, so emission tests do not lean on the
+// parser they would share a bug with: a recursive-descent checker that
+// accepts exactly the JSON grammar. Returns the position after the value,
+// or npos on error.
 
 std::size_t skip_ws(const std::string& s, std::size_t i) {
   while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
@@ -159,6 +160,66 @@ TEST(Json, MutationOfWrongKindThrows) {
   EXPECT_THROW(v["key"], Error);
   obs::JsonValue o = obs::JsonValue::object();
   EXPECT_THROW(o.push_back(1), Error);
+}
+
+// -- JSON parsing -----------------------------------------------------------
+
+TEST(JsonParse, ReportShapedValueRoundTrips) {
+  // The shape drsm_bench_diff reads: a bench name, a results array of
+  // rows with acc fields and strings, nested objects, bools and nulls.
+  const std::string note = "tab\t \"quoted\" \u00e9 \x01";
+  obs::JsonValue row = obs::JsonValue::object();
+  row["configuration"] = "online";
+  row["acc"] = 22.838912345678901;
+  row["switches"] = 3;
+  row["note"] = note;
+  obs::JsonValue report = obs::JsonValue::object();
+  report["bench"] = "adaptive";
+  report["results"] = obs::JsonValue::array();
+  report["results"].push_back(std::move(row));
+  report["results"].push_back(obs::JsonValue());
+  report["phases"]["online"]["wall_ms"] = 12.5;
+  report["online_within_oracle_10pct"] = true;
+  for (const int indent : {0, 2}) {
+    const std::string text = report.dump(indent);
+    EXPECT_EQ(obs::parse_json(text).dump(indent), text);
+  }
+  const obs::JsonValue parsed = obs::parse_json(report.dump(2));
+  const obs::JsonValue& first = parsed.find("results")->at(0);
+  EXPECT_EQ(first.find("acc")->as_number(), 22.838912345678901);
+  EXPECT_EQ(first.find("note")->as_string(), note);
+  EXPECT_TRUE(parsed.find("results")->at(1).is_null());
+}
+
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  EXPECT_NO_THROW(
+      obs::parse_json(std::string(200, '[') + std::string(200, ']')));
+  try {
+    obs::parse_json(std::string(100'000, '['));
+    FAIL() << "100000 nested arrays parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("JSON parse error at byte 256"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(obs::parse_json(objects), Error);
+}
+
+TEST(JsonParse, MalformedInputRaisesError) {
+  const char* const malformed[] = {
+      "\"unterminated",  // unterminated string
+      "[\"ab\\u12",      // truncated \u escape at end of input
+      "\"\\u12\"",       // \u escape cut short by the closing quote
+      "tru",             // bad literals
+      "[nul]",
+      "{\"ok\": fals}",
+      "{} x",            // trailing characters
+      "[1, 2]]",
+  };
+  for (const char* text : malformed)
+    EXPECT_THROW(obs::parse_json(text), Error) << text;
 }
 
 // -- Histogram --------------------------------------------------------------
