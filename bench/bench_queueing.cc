@@ -134,9 +134,8 @@ int main() {
         "write disturbance (p=0.2, xi=0.05, a=15) — ownership ping-pong:",
         "write_disturbance", workload::write_disturbance(0.2, 0.05, kN - 1));
   // Cumulative registry snapshot across all runs: message mix, latency
-  // histogram, event-engine counters (sim.events / sim.alloc_bytes /
-  // sim.events_per_sec), and the sequencer queue-depth/utilization time
-  // series.
+  // and sequencer queue-depth sketches, and event-engine counters
+  // (sim.events / sim.alloc_bytes / sim.events_per_sec).
   report.root()["sim_metrics"] = registry.to_json();
   report.write();
   std::printf(

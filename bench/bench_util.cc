@@ -44,9 +44,8 @@ obs::JsonValue sim_stats_json(const sim::SimStats& stats) {
   latency["mean_read"] = stats.mean_read_latency();
   latency["mean_write"] = stats.mean_write_latency();
   latency["max"] = static_cast<double>(stats.latency_max);
-  // Percentiles come from the GK sketch: actual observed latencies, not
-  // the histogram's within-bucket interpolation (which fabricated
-  // fractional p50s for zero-heavy distributions).
+  // Percentiles come from the GK sketch: actual observed latencies, never
+  // values interpolated inside a bucket.
   latency["p50"] = stats.latency_quantiles.query(0.50);
   latency["p90"] = stats.latency_quantiles.query(0.90);
   latency["p99"] = stats.latency_quantiles.query(0.99);

@@ -45,8 +45,9 @@ void print_surface(const std::string& title, const char* col_param_name,
                    const std::vector<std::vector<std::string>>& cells);
 
 /// SimStats rendered as a JSON object: acc, counts, the message mix, and
-/// the latency distribution summary (mean/max and p50/p90/p99 from the
-/// post-warmup histogram).  The standard "sim" block of a bench report.
+/// the latency distribution summary (mean/max, and p50/p90/p99 from the
+/// post-warmup GK sketch SimStats::latency_quantiles).  The standard
+/// "sim" block of a bench report.
 obs::JsonValue sim_stats_json(const sim::SimStats& stats);
 
 /// Accumulates one bench's machine-readable report and writes it as

@@ -8,7 +8,8 @@
 //   * drsm_sim.trace.jsonl  the same events, one JSON object per line,
 //                           for ad-hoc scripting;
 // and prints the metrics-registry snapshot that the simulator published
-// (message mix, latency histogram, sequencer queue-depth series).
+// (message mix, counters, and GK quantile sketches of the operation
+// latency and the sequencer's queue depth).
 //
 // Usage: sim_tracing [protocol] [ops]   (default: write-once, 400 ops)
 #include <cstdio>

@@ -83,7 +83,8 @@ class OnlineController {
   /// Background mode: a dedicated thread drains and decides until stop().
   void start();
   /// Drains the ring, runs any due decision passes, publishes metrics.
-  /// Idempotent; the destructor calls it.
+  /// Idempotent; the destructor calls it.  Stop the controller before the
+  /// runtime: ConcurrentSharedMemory::migrate throws once that has stopped.
   void stop();
 
   /// Synchronous mode for deterministic tests: drains everything

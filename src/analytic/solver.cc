@@ -10,11 +10,6 @@ namespace drsm::analytic {
 
 namespace {
 
-/// Millisecond wall-clock bucket ladder: 1us .. ~1s.
-std::vector<double> wall_ms_bounds() {
-  return obs::Histogram::exponential_bounds(0.001, 4.0, 15);
-}
-
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -70,8 +65,7 @@ const ProtocolChain& AccSolver::chain(protocols::ProtocolKind kind,
     if (metrics_ != nullptr) {
       metrics_->counter("analytic.chains_built").inc();
       metrics_->counter("analytic.chain_states").inc(built.num_states());
-      metrics_->histogram("analytic.chain_build_ms", wall_ms_bounds())
-          .record(ms_since(start));
+      metrics_->quantile("analytic.chain_build_ms").record(ms_since(start));
     }
   }
   return built;
@@ -94,8 +88,7 @@ double AccSolver::acc(protocols::ProtocolKind kind,
       metrics_->gauge("analytic.last_residual").set(telemetry.last.residual);
       metrics_->gauge("analytic.last_solve_states")
           .set(static_cast<double>(telemetry.last.states));
-      metrics_->histogram("analytic.solve_ms", wall_ms_bounds())
-          .record(ms_since(start));
+      metrics_->quantile("analytic.solve_ms").record(ms_since(start));
     }
   }
   return result;
@@ -137,8 +130,7 @@ std::vector<double> AccSolver::acc_batch(
       metrics_->counter("analytic.batch_direct_lanes").inc(total_direct);
       metrics_->counter("analytic.batch_power_iterations")
           .inc(total_power_iterations);
-      metrics_->histogram("analytic.batch_solve_ms", wall_ms_bounds())
-          .record(ms_since(start));
+      metrics_->quantile("analytic.batch_solve_ms").record(ms_since(start));
     }
   }
   return out;

@@ -1,6 +1,7 @@
 #include "dsm/concurrent.h"
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "support/error.h"
@@ -14,6 +15,10 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+[[noreturn]] void throw_stopped(const char* what) {
+  throw Error(std::string(what) + " after the concurrent runtime stopped");
 }
 
 }  // namespace
@@ -72,6 +77,8 @@ std::uint64_t ConcurrentSharedMemory::Session::submit(fsm::OpKind op,
   DRSM_CHECK(object < owner_.options_.num_objects, "object id out of range");
   DRSM_CHECK(protocols::supports(owner_.options_.protocol, op),
              "operation not supported by this protocol");
+  // A stopped shard never grants again: the ticket would hang drain().
+  if (owner_.stopped()) [[unlikely]] throw_stopped("submit");
   // Window backpressure: pump completions; park only when none are ready.
   while (in_flight_ >= owner_.options_.max_inflight) {
     if (pump() == 0) {
@@ -197,6 +204,7 @@ ConcurrentSharedMemory::Session& ConcurrentSharedMemory::session(
 void ConcurrentSharedMemory::migrate(ObjectId object,
                                      protocols::ProtocolKind to) {
   DRSM_CHECK(object < options_.num_objects, "object id out of range");
+  if (stopped()) throw_stopped("migrate");
   sim::ShardRequest request;
   request.kind = sim::ShardRequest::Kind::kMigrate;
   request.object = object;
@@ -214,8 +222,7 @@ protocols::ProtocolKind ConcurrentSharedMemory::object_protocol(
 }
 
 void ConcurrentSharedMemory::stop() {
-  if (stopped_) return;
-  stopped_ = true;
+  if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
   wall_ms_ = std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - start_)
                  .count();
@@ -241,12 +248,9 @@ void ConcurrentSharedMemory::stop() {
   m.gauge("runtime.shards").set(static_cast<double>(shards_.size()));
   m.gauge("runtime.sessions").set(static_cast<double>(sessions_.size()));
   m.gauge("runtime.max_batch").set(static_cast<double>(s.max_batch));
-  m.gauge("runtime.latency_p50_ns").set(s.latency_ns.query(0.5));
-  m.gauge("runtime.latency_p99_ns").set(s.latency_ns.query(0.99));
-  obs::TimeSeries& per_shard = m.series("runtime.shard_ops");
+  m.quantile("runtime.latency_ns").merge(s.latency_ns);
   for (std::size_t i = 0; i < s.shard_ops.size(); ++i)
-    per_shard.sample(static_cast<double>(i),
-                     static_cast<double>(s.shard_ops[i]));
+    m.counter("runtime.shard_ops." + std::to_string(i)).inc(s.shard_ops[i]);
 }
 
 bool ConcurrentSharedMemory::failed() const {

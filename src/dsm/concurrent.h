@@ -26,6 +26,7 @@
 // (they sit earlier in the same ring).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -83,7 +84,8 @@ class ConcurrentSharedMemory {
    public:
     /// Asynchronous issues; each returns the session-local ticket that
     /// will come back on the grant.  Blocks only when the window is full
-    /// (pumping grants while it waits).
+    /// (pumping grants while it waits).  Each throws drsm::Error once
+    /// stop() has run: no shard would ever grant the ticket.
     std::uint64_t read(ObjectId object);
     std::uint64_t write(ObjectId object, std::uint64_t value);
     /// write() with a runtime-stamped globally unique value — what the
@@ -156,7 +158,8 @@ class ConcurrentSharedMemory {
   /// (sim::SequentialRuntime::migrate re-seeds the latest write), so an
   /// attached coherence oracle referees straight through the migration.
   /// Spins (yielding) while the ring is full; holds no grants, so the
-  /// shard can always drain toward it.
+  /// shard can always drain toward it.  Throws drsm::Error once stop()
+  /// has run.
   void migrate(ObjectId object, protocols::ProtocolKind to);
 
   /// The protocol `object` currently runs.  Only stable after stop() or
@@ -206,12 +209,14 @@ class ConcurrentSharedMemory {
  private:
   friend class Session;
 
+  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
+
   Options options_;
   std::vector<std::unique_ptr<sim::SequencerShard>> shards_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::chrono::steady_clock::time_point start_;
   double wall_ms_ = 0.0;
-  bool stopped_ = false;
+  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace drsm::dsm

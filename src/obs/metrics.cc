@@ -6,134 +6,6 @@
 
 namespace drsm::obs {
 
-// -- Histogram --------------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i)
-    DRSM_CHECK(bounds_[i - 1] < bounds_[i],
-               "histogram bounds must be strictly increasing");
-}
-
-std::vector<double> Histogram::exponential_bounds(double first, double factor,
-                                                  std::size_t count) {
-  DRSM_CHECK(first > 0.0 && factor > 1.0, "bad exponential bucket ladder");
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = first;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
-}
-
-double Histogram::percentile(double q) const {
-  DRSM_CHECK(q >= 0.0 && q <= 1.0, "percentile: q outside [0, 1]");
-  if (count_ == 0) return 0.0;
-  const double rank = q * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const double before = static_cast<double>(seen);
-    seen += buckets_[i];
-    if (static_cast<double>(seen) < rank) continue;
-    // Interpolate within bucket i.  Clamp the bucket's value range to the
-    // observed min/max so open-ended edge buckets stay finite.
-    double lo = i == 0 ? min_ : bounds_[i - 1];
-    double hi = i < bounds_.size() ? bounds_[i] : max_;
-    lo = std::max(lo, min_);
-    hi = std::min(hi, max_);
-    if (hi <= lo) return hi;
-    const double frac =
-        (rank - before) / static_cast<double>(buckets_[i]);
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-  }
-  return max_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  DRSM_CHECK(bounds_ == other.bounds_,
-             "histogram merge: bucket bounds differ");
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-JsonValue Histogram::to_json() const {
-  JsonValue v = JsonValue::object();
-  v["count"] = static_cast<double>(count_);
-  v["sum"] = sum_;
-  v["min"] = min();
-  v["max"] = max();
-  v["mean"] = mean();
-  for (const auto& [label, q] :
-       {std::pair<const char*, double>{"p50", 0.50},
-        {"p90", 0.90},
-        {"p99", 0.99}})
-    v[label] = percentile(q);
-  JsonValue buckets = JsonValue::array();
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;  // sparse: long ladders, few hits
-    JsonValue b = JsonValue::object();
-    b["le"] = i < bounds_.size() ? JsonValue(bounds_[i])
-                                 : JsonValue("inf");
-    b["count"] = static_cast<double>(buckets_[i]);
-    buckets.push_back(std::move(b));
-  }
-  v["buckets"] = std::move(buckets);
-  return v;
-}
-
-// -- TimeSeries -------------------------------------------------------------
-
-TimeSeries::TimeSeries(std::size_t max_samples)
-    : max_samples_(std::max<std::size_t>(max_samples, 2)) {
-  points_.reserve(max_samples_);
-}
-
-void TimeSeries::sample(double time, double value) {
-  max_value_ = offered_ == 0 ? value : std::max(max_value_, value);
-  if (offered_++ % stride_ != 0) return;
-  if (points_.size() == max_samples_) {
-    // Thin: keep every other retained point, double the stride.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < points_.size(); i += 2)
-      points_[kept++] = points_[i];
-    points_.resize(kept);
-    stride_ *= 2;
-    if ((offered_ - 1) % stride_ != 0) return;
-  }
-  points_.push_back({time, value});
-}
-
-JsonValue TimeSeries::to_json() const {
-  JsonValue v = JsonValue::object();
-  v["samples"] = static_cast<double>(offered_);
-  v["max"] = max_value_;
-  v["last"] = last_value();
-  JsonValue pts = JsonValue::array();
-  for (const Point& p : points_) {
-    JsonValue pair = JsonValue::array();
-    pair.push_back(p.time);
-    pair.push_back(p.value);
-    pts.push_back(std::move(pair));
-  }
-  v["points"] = std::move(pts);
-  return v;
-}
-
-// -- MetricsRegistry --------------------------------------------------------
-
 MetricsRegistry::Entry* MetricsRegistry::find(std::string_view name) {
   for (Entry& e : entries_)
     if (e.name == name) return &e;
@@ -153,8 +25,8 @@ Counter& MetricsRegistry::counter(std::string_view name) {
                "metric '" + std::string(name) + "' is not a counter");
     return *e->counter;
   }
-  entries_.push_back({std::string(name), std::make_unique<Counter>(),
-                      nullptr, nullptr, nullptr});
+  entries_.push_back(
+      {std::string(name), std::make_unique<Counter>(), nullptr, nullptr});
   return *entries_.back().counter;
 }
 
@@ -164,34 +36,20 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
                "metric '" + std::string(name) + "' is not a gauge");
     return *e->gauge;
   }
-  entries_.push_back({std::string(name), nullptr,
-                      std::make_unique<Gauge>(), nullptr, nullptr});
+  entries_.push_back(
+      {std::string(name), nullptr, std::make_unique<Gauge>(), nullptr});
   return *entries_.back().gauge;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
+Quantile& MetricsRegistry::quantile(std::string_view name) {
   if (Entry* e = find(name)) {
-    DRSM_CHECK(e->histogram != nullptr,
-               "metric '" + std::string(name) + "' is not a histogram");
-    return *e->histogram;
+    DRSM_CHECK(e->quantile != nullptr,
+               "metric '" + std::string(name) + "' is not a quantile");
+    return *e->quantile;
   }
-  entries_.push_back({std::string(name), nullptr, nullptr,
-                      std::make_unique<Histogram>(std::move(bounds)),
-                      nullptr});
-  return *entries_.back().histogram;
-}
-
-TimeSeries& MetricsRegistry::series(std::string_view name,
-                                    std::size_t max_samples) {
-  if (Entry* e = find(name)) {
-    DRSM_CHECK(e->series != nullptr,
-               "metric '" + std::string(name) + "' is not a time series");
-    return *e->series;
-  }
-  entries_.push_back({std::string(name), nullptr, nullptr, nullptr,
-                      std::make_unique<TimeSeries>(max_samples)});
-  return *entries_.back().series;
+  entries_.push_back(
+      {std::string(name), nullptr, nullptr, std::make_unique<Quantile>()});
+  return *entries_.back().quantile;
 }
 
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
@@ -204,15 +62,9 @@ const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
   return e != nullptr ? e->gauge.get() : nullptr;
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
+const Quantile* MetricsRegistry::find_quantile(std::string_view name) const {
   const Entry* e = find(name);
-  return e != nullptr ? e->histogram.get() : nullptr;
-}
-
-const TimeSeries* MetricsRegistry::find_series(std::string_view name) const {
-  const Entry* e = find(name);
-  return e != nullptr ? e->series.get() : nullptr;
+  return e != nullptr ? e->quantile.get() : nullptr;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
@@ -222,11 +74,8 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
       counter(e.name).inc(e.counter->value());
     else if (e.gauge)
       gauge(e.name).set(e.gauge->value());
-    else if (e.histogram)
-      histogram(e.name, e.histogram->bounds()).merge(*e.histogram);
-    else if (e.series)
-      for (const TimeSeries::Point& p : e.series->points())
-        series(e.name).sample(p.time, p.value);
+    else if (e.quantile)
+      quantile(e.name).merge(*e.quantile);
   }
 }
 
@@ -242,23 +91,19 @@ JsonValue MetricsRegistry::to_json() const {
   // held across further insertions.
   JsonValue counters = JsonValue::object();
   JsonValue gauges = JsonValue::object();
-  JsonValue histograms = JsonValue::object();
-  JsonValue series = JsonValue::object();
+  JsonValue quantiles = JsonValue::object();
   for (const Entry* e : sorted) {
     if (e->counter)
       counters[e->name] = static_cast<double>(e->counter->value());
     else if (e->gauge)
       gauges[e->name] = e->gauge->value();
-    else if (e->histogram)
-      histograms[e->name] = e->histogram->to_json();
-    else if (e->series)
-      series[e->name] = e->series->to_json();
+    else if (e->quantile)
+      quantiles[e->name] = e->quantile->to_json();
   }
   JsonValue v = JsonValue::object();
   v["counters"] = std::move(counters);
   v["gauges"] = std::move(gauges);
-  v["histograms"] = std::move(histograms);
-  v["series"] = std::move(series);
+  v["quantiles"] = std::move(quantiles);
   return v;
 }
 

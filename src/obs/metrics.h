@@ -1,11 +1,14 @@
-// Metrics registry: named counters, gauges, fixed-bucket histograms and
-// time-series samplers that every runtime layer publishes into.
+// Metrics registry: named counters, gauges and quantile sketches that
+// every runtime layer publishes into.
 //
 // The registry is the machine-readable counterpart of the tables the
 // benches print: EventSimulator publishes message/operation counters and
-// latency histograms, ThreadedRuntime its cost tallies, AccSolver its
-// chain sizes and stationary-solver iteration counts.  A registry snapshot
-// serializes to JSON (obs::JsonValue), which is what BENCH_*.json embeds.
+// its latency and sequencer queue-depth sketches, ThreadedRuntime its cost
+// tallies, AccSolver its chain sizes, stationary-solver iteration counts
+// and wall-clock sketches.  Every distribution is an obs::Quantile (GK
+// sketch), so a reported percentile is always a value that occurred.  A
+// registry snapshot serializes to JSON (obs::JsonValue), which is what
+// BENCH_*.json embeds.
 //
 // Instruments hand out stable references: registry.counter("x") returns
 // the same Counter& for the lifetime of the registry, so hot paths resolve
@@ -14,7 +17,6 @@
 // the end of the run (see sim/threaded.cc).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/quantile.h"
 
 namespace drsm::obs {
 
@@ -46,106 +49,7 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Fixed-bucket histogram: bucket i counts samples in
-/// (bounds[i-1], bounds[i]], with an implicit overflow bucket above the
-/// last bound.  Buckets are fixed at construction, so record() is a small
-/// binary search and merging histograms with equal bounds is exact.
-class Histogram {
- public:
-  /// `bounds` must be strictly increasing; may be empty (count/sum only).
-  explicit Histogram(std::vector<double> bounds = default_bounds());
-
-  /// Geometric bucket ladder: `count` bounds starting at `first`, each
-  /// `factor` times the previous — the standard shape for latencies that
-  /// span orders of magnitude.
-  static std::vector<double> exponential_bounds(double first, double factor,
-                                                std::size_t count);
-
-  /// The ladder used for operation latencies in simulator time units:
-  /// 1, 2, 4, ... 2^19 (~1e6), 21 buckets including overflow.
-  static std::vector<double> default_bounds() {
-    return exponential_bounds(1.0, 2.0, 20);
-  }
-
-  void record(double value) {
-    // First bucket holds (-inf, bounds[0]]; bucket i holds
-    // (bounds[i-1], bounds[i]]; the last holds (bounds.back(), inf).
-    // Inline: the simulator records one sample per completed operation.
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-    if (count_ == 0) {
-      min_ = max_ = value;
-    } else {
-      min_ = std::min(min_, value);
-      max_ = std::max(max_, value);
-    }
-    ++count_;
-    sum_ += value;
-  }
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// buckets().size() == bounds().size() + 1 (last bucket = overflow).
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
-  /// Quantile estimate by linear interpolation within the containing
-  /// bucket; exact at bucket boundaries.  q in [0, 1].
-  double percentile(double q) const;
-
-  /// Adds another histogram with identical bounds into this one.
-  void merge(const Histogram& other);
-
-  JsonValue to_json() const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Bounded (time, value) series.  When full it halves itself by dropping
-/// every other sample and doubles the keep-stride, so long runs keep an
-/// evenly thinned profile instead of truncating the tail.
-class TimeSeries {
- public:
-  explicit TimeSeries(std::size_t max_samples = 2048);
-
-  void sample(double time, double value);
-
-  struct Point {
-    double time;
-    double value;
-  };
-  const std::vector<Point>& points() const { return points_; }
-  /// Total sample() calls, including thinned-away ones.
-  std::uint64_t offered() const { return offered_; }
-  double last_value() const {
-    return points_.empty() ? 0.0 : points_.back().value;
-  }
-  double max_value() const { return max_value_; }
-
-  JsonValue to_json() const;
-
- private:
-  std::size_t max_samples_;
-  std::uint64_t stride_ = 1;
-  std::uint64_t offered_ = 0;
-  double max_value_ = 0.0;
-  std::vector<Point> points_;
-};
-
-/// Name -> instrument registry.  Lookup creates on first use; histogram
-/// bounds and series capacity are fixed by the creating call.
+/// Name -> instrument registry.  Lookup creates on first use.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -154,25 +58,20 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name,
-                       std::vector<double> bounds = Histogram::default_bounds());
-  TimeSeries& series(std::string_view name, std::size_t max_samples = 2048);
+  Quantile& quantile(std::string_view name);
 
   /// nullptr when `name` is absent or a different instrument kind.
   const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
-  const TimeSeries* find_series(std::string_view name) const;
+  const Quantile* find_quantile(std::string_view name) const;
 
   std::size_t size() const { return entries_.size(); }
 
   /// Folds another registry into this one: counters add, gauges take the
-  /// other's (later) value, histograms merge bucket-wise (bounds must
-  /// agree when the name already exists here), series re-offer the other's
-  /// retained points in time order.  This is how parallel sweep tasks
-  /// aggregate: each task publishes into a private registry, and the
-  /// runner merges them in task-index order so the combined registry is
-  /// independent of execution schedule.
+  /// other's (later) value, quantiles merge through Quantile::merge.  This
+  /// is how parallel sweep tasks aggregate: each task publishes into a
+  /// private registry, and the runner merges them in task-index order so
+  /// the combined registry is independent of execution schedule.
   void merge(const MetricsRegistry& other);
 
   /// Snapshot of every instrument, grouped by kind, names sorted.
@@ -185,8 +84,7 @@ class MetricsRegistry {
     // registry growth.
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<TimeSeries> series;
+    std::unique_ptr<Quantile> quantile;
   };
   Entry* find(std::string_view name);
   const Entry* find(std::string_view name) const;

@@ -1,18 +1,19 @@
-// Streaming quantile estimation (Greenwald–Khanna sketch).
+// Streaming quantile estimation (Greenwald–Khanna sketch) — the one
+// distribution instrument of the observability layer: the metrics
+// registry's quantile kind and SimStats::latency_quantiles.
 //
-// The fixed-bucket Histogram answers percentile queries by interpolating
-// inside a geometric bucket, which fabricates values for the discrete,
-// zero-heavy latency distributions the simulator produces (a run whose
-// operations all complete locally in 0 time units "interpolates" a p50 of
-// 0.5 inside the (-inf, 1] bucket).  Quantile keeps an epsilon-approximate
-// summary of the *observed sample values* instead: every query returns a
-// value that actually occurred, with rank error at most epsilon * count.
+// The sketch keeps an epsilon-approximate summary of the *observed sample
+// values*: every query returns a value that actually occurred, with rank
+// error at most epsilon * count.  A bucket-interpolating histogram would
+// instead fabricate values for the discrete, zero-heavy latency
+// distributions the simulator produces (a run whose operations all
+// complete locally in 0 time units would "interpolate" a p50 of 0.5).
 //
 // The GK summary was chosen over P² because it is deterministic,
-// mergeable (replication harness: per-replication sketches concatenate
-// and recompress), and answers any quantile from one structure.  Space is
-// O((1/epsilon) * log(epsilon * n)) tuples — a few hundred at the default
-// epsilon for million-sample runs.
+// mergeable (replication harness and registry merges: sketches
+// concatenate and recompress), and answers any quantile from one
+// structure.  Space is O((1/epsilon) * log(epsilon * n)) tuples — a few
+// hundred at the default epsilon for million-sample runs.
 #pragma once
 
 #include <cstddef>

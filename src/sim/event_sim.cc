@@ -158,10 +158,8 @@ struct EventSimulator::Impl {
   // sized only when options.max_channel_depth bounds the channels.
   std::vector<std::uint32_t> channel_depth;
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TimeSeries* seq_depth_series = nullptr;  // resolved at run start
-  obs::TimeSeries* seq_util_series = nullptr;
-  obs::Histogram latency_hist;  // post-warmup, always collected
-  obs::Quantile latency_q;      // post-warmup quantile sketch
+  obs::Quantile* seq_depth = nullptr;  // resolved at run start
+  obs::Quantile latency_q;      // post-warmup, always collected
   std::uint64_t msg_seq = 0;    // pairs sends with receives
   std::uint64_t span_seq = 0;   // causal span ids, one per application op
   // Span of the message currently being handled; messages sent while
@@ -333,15 +331,8 @@ struct EventSimulator::Impl {
     sink->on_event(event);
   }
 
-  [[gnu::cold, gnu::noinline]] void sample_sequencer_series(NodeId dst) {
-    seq_depth_series->sample(static_cast<double>(now),
-                             static_cast<double>(dist_queue[dst].size() + 1));
-    if (now > 0)
-      seq_util_series->sample(
-          static_cast<double>(now),
-          static_cast<double>(handled_by_node[dst]) *
-              static_cast<double>(options.latency.processing_time) /
-              static_cast<double>(now));
+  [[gnu::cold, gnu::noinline]] void record_sequencer_depth(NodeId dst) {
+    seq_depth->record(static_cast<double>(dist_queue[dst].size() + 1));
   }
 
   [[gnu::cold, gnu::noinline]] void emit_queue_event(obs::EventKind kind_,
@@ -405,12 +396,11 @@ struct EventSimulator::Impl {
   /// instead of allocating and copying a fresh one.
   template <bool kRefilePending>
   void route_impl(NodeId dst, const Message& msg) {
-    if (seq_depth_series != nullptr) [[unlikely]] {
-      // Sequencer queue-depth/utilization sampling, one sample per
-      // inter-node delivery to the sequencer (self-sends are local
-      // actions, never sampled), taken before the enqueue below — the
-      // same points and values the traced path used to record.
-      if (dst == seq_node && msg.sender != dst) sample_sequencer_series(dst);
+    if (seq_depth != nullptr) [[unlikely]] {
+      // Sequencer queue-depth sampling, one sample per inter-node delivery
+      // to the sequencer (self-sends are local actions, never sampled),
+      // taken before the enqueue below.
+      if (dst == seq_node && msg.sender != dst) record_sequencer_depth(dst);
     }
     if (!channel_depth.empty() && msg.sender != dst)
       --channel_depth[msg.sender * num_nodes + dst];
@@ -593,7 +583,6 @@ struct EventSimulator::Impl {
     ++completed_ops;
     if (completed_ops == options.warmup_ops) cost_at_warmup = total_cost;
     if (completed_ops > options.warmup_ops) {
-      latency_hist.record(static_cast<double>(latency));
       latency_q.record(static_cast<double>(latency));
       latency_sum += static_cast<double>(latency);
       latency_max = std::max(latency_max, latency);
@@ -643,10 +632,9 @@ struct EventSimulator::Impl {
 
   SimStats run(WorkloadDriver& wl) {
     driver = &wl;
-    if (metrics != nullptr) {
-      seq_depth_series = &metrics->series("sim.seq_queue_depth");
-      seq_util_series = &metrics->series("sim.seq_utilization");
-    }
+    seq_depth = metrics != nullptr
+                    ? &metrics->quantile("sim.seq_queue_depth")
+                    : nullptr;
     const std::size_t nodes = config.num_clients + 1;
     for (NodeId node = 0; node < nodes; ++node) issue_next(node);
 
@@ -726,7 +714,6 @@ struct EventSimulator::Impl {
     stats.cost_by_initiator = cost_by_initiator;
     stats.cost_by_object = cost_by_object;
     stats.handled_by_node = handled_by_node;
-    stats.latency_histogram = latency_hist;
     stats.latency_quantiles = latency_q;
     if (metrics != nullptr) publish_metrics(stats);
     return stats;
@@ -771,7 +758,7 @@ struct EventSimulator::Impl {
       metrics->gauge("sim.seq_utilization_total")
           .set(stats.utilization(static_cast<NodeId>(config.num_clients),
                                  options.latency.processing_time));
-    metrics->histogram("sim.latency").merge(latency_hist);
+    metrics->quantile("sim.latency").merge(latency_q);
   }
 };
 

@@ -70,15 +70,10 @@ struct SimStats {
   double read_latency_sum = 0.0;
   double write_latency_sum = 0.0;
 
-  /// Post-warmup latency distribution (default exponential buckets),
-  /// kept for bucket-shaped readouts and merging with fixed bounds.
-  obs::Histogram latency_histogram;
-
   /// Post-warmup latency quantile sketch (Greenwald–Khanna): the source
-  /// of the p50/p90/p99 fields in BENCH_*.json reports.  Unlike the
-  /// histogram's interpolated bucket percentiles, queries return actual
-  /// observed latencies (so a zero-heavy distribution reports p50 = 0,
-  /// not a fraction interpolated across the first bucket).
+  /// of the p50/p90/p99 fields in BENCH_*.json reports.  Queries return
+  /// actual observed latencies (so a zero-heavy distribution reports
+  /// p50 = 0, not a fraction interpolated across a bucket).
   obs::Quantile latency_quantiles;
 
   double mean_latency() const {
@@ -189,9 +184,10 @@ class EventSimulator {
   void set_sink(obs::EventSink* sink);
 
   /// Attaches a metrics registry: the run publishes message/operation
-  /// counters, the message mix, acc/latency summaries, and time series of
-  /// the sequencer's queue depth and utilization.  Metric names are
-  /// listed in docs/OBSERVABILITY.md.  Pass nullptr to detach.
+  /// counters, the message mix, acc/latency summaries, and quantile
+  /// sketches of the operation latency and of the sequencer's queue depth
+  /// at each delivery.  Metric names are listed in docs/OBSERVABILITY.md.
+  /// Pass nullptr to detach.
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Attaches a coherence tap (typically the check::CoherenceOracle):

@@ -57,7 +57,6 @@ void merge_stats(SimStats& into, const SimStats& from) {
   into.latency_max = std::max(into.latency_max, from.latency_max);
   into.read_latency_sum += from.read_latency_sum;
   into.write_latency_sum += from.write_latency_sum;
-  into.latency_histogram.merge(from.latency_histogram);
   into.latency_quantiles.merge(from.latency_quantiles);
   for (const auto& [type, count] : from.message_mix)
     into.message_mix[type] += count;

@@ -14,9 +14,9 @@
 //  * replications execute in parallel on a SweepRunner (results land in
 //    per-replication slots, so thread count cannot affect them);
 //  * SimStats are merged replication-by-replication in index order —
-//    counters and cost sums add, latency_max maxes, histograms merge
-//    bucket-wise through obs::Histogram::merge — yielding the same
-//    totals as a serial loop, bit for bit;
+//    counters and cost sums add, latency_max maxes, latency sketches
+//    merge through obs::Quantile::merge — yielding the same totals and
+//    the same sketch as a serial loop, bit for bit;
 //  * the per-replication acc and mean-latency samples feed a normal-
 //    approximation confidence interval (z interval; R is small but the
 //    per-replication means are already averages over thousands of
@@ -80,7 +80,7 @@ struct ReplicationOptions {
 /// Merged results of R replications plus the per-replication spread.
 struct ReplicatedStats {
   /// All replications merged: counts/costs/latency sums added in
-  /// replication order, latency_max maxed, histograms merged,
+  /// replication order, latency_max maxed, latency sketches merged,
   /// end_time summed (total simulated time across replications).
   /// merged.acc() is the pooled (operation-weighted) mean.
   SimStats merged;

@@ -367,12 +367,11 @@ ThreadedStats run_threaded(protocols::ProtocolKind kind,
         .set(std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - wall_start)
                  .count());
-    // Per-node message spread (x = node id): where the protocol-processor
-    // load sits — the fixed-sequencer protocols pile onto node N.
-    obs::TimeSeries& spread = m.series("threaded.node_messages");
+    // Per-node message spread: where the protocol-processor load sits —
+    // the fixed-sequencer protocols pile onto node N.
     for (NodeId id = 0; id < node_count; ++id)
-      spread.sample(static_cast<double>(id),
-                    static_cast<double>(shared.nodes[id]->messages));
+      m.counter("threaded.node_messages." + std::to_string(id))
+          .inc(shared.nodes[id]->messages);
   }
   return stats;
 }

@@ -1,7 +1,9 @@
 #include "workload/trace_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "support/error.h"
 #include "support/text.h"
@@ -33,6 +35,20 @@ OpKind op_from_code(char code) {
   }
 }
 
+/// `token` as a whole unsigned decimal number that fits T: no sign, no
+/// trailing characters, no wrap-around.
+template <typename T>
+T parse_number(const std::string& token, const char* what,
+               std::size_t line_no) {
+  T value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end)
+    throw Error(strfmt("trace: bad %s '%s' at line %zu", what, token.c_str(),
+                       line_no));
+  return value;
+}
+
 }  // namespace
 
 void save_trace(std::ostream& out, const OperationTrace& trace) {
@@ -60,30 +76,33 @@ OperationTrace load_trace(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string first;
-    fields >> first;
-    if (first == "clients") {
-      DRSM_CHECK(static_cast<bool>(fields >> trace.num_clients),
-                 "trace: bad clients line");
+    std::vector<std::string> fields;
+    std::istringstream split(line);
+    for (std::string field; split >> field;) fields.push_back(field);
+    if (!fields.empty() && fields[0] == "clients") {
+      DRSM_CHECK(fields.size() == 2,
+                 strfmt("trace: bad clients line %zu", line_no));
+      trace.num_clients =
+          parse_number<NodeId>(fields[1], "clients count", line_no);
       have_clients = true;
       continue;
     }
-    if (first == "objects") {
-      DRSM_CHECK(static_cast<bool>(fields >> trace.num_objects),
-                 "trace: bad objects line");
+    if (!fields.empty() && fields[0] == "objects") {
+      DRSM_CHECK(fields.size() == 2,
+                 strfmt("trace: bad objects line %zu", line_no));
+      trace.num_objects =
+          parse_number<ObjectId>(fields[1], "objects count", line_no);
       have_objects = true;
       continue;
     }
     DRSM_CHECK(have_clients && have_objects,
                "trace: records before the clients/objects preamble");
+    DRSM_CHECK(fields.size() == 3 && fields[2].size() == 1,
+               strfmt("trace: malformed record at line %zu", line_no));
     TraceEntry entry;
-    char code = 0;
-    std::istringstream record(line);
-    DRSM_CHECK(
-        static_cast<bool>(record >> entry.node >> entry.object >> code),
-        strfmt("trace: malformed record at line %zu", line_no));
-    entry.op = op_from_code(code);
+    entry.node = parse_number<NodeId>(fields[0], "node", line_no);
+    entry.object = parse_number<ObjectId>(fields[1], "object", line_no);
+    entry.op = op_from_code(fields[2][0]);
     DRSM_CHECK(entry.node <= trace.num_clients,
                strfmt("trace: node out of range at line %zu", line_no));
     DRSM_CHECK(entry.object < trace.num_objects,

@@ -374,8 +374,40 @@ TEST(ConcurrentRuntimeTest, PublishesRuntimeMetrics) {
   EXPECT_GT(metrics.find_gauge("runtime.ops_per_sec")->value(), 0.0);
   ASSERT_NE(metrics.find_gauge("runtime.shards"), nullptr);
   EXPECT_EQ(metrics.find_gauge("runtime.shards")->value(), 2.0);
-  ASSERT_NE(metrics.find_series("runtime.shard_ops"), nullptr);
-  EXPECT_EQ(metrics.find_series("runtime.shard_ops")->points().size(), 2u);
+  // One counter per shard; together they cover every operation.
+  ASSERT_NE(metrics.find_counter("runtime.shard_ops.0"), nullptr);
+  ASSERT_NE(metrics.find_counter("runtime.shard_ops.1"), nullptr);
+  EXPECT_EQ(metrics.find_counter("runtime.shard_ops.2"), nullptr);
+  EXPECT_EQ(metrics.find_counter("runtime.shard_ops.0")->value() +
+                metrics.find_counter("runtime.shard_ops.1")->value(),
+            4000u);
+  const obs::Quantile* latency = metrics.find_quantile("runtime.latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), mem.stats().latency_ns.count());
+}
+
+TEST(ConcurrentRuntimeTest, StoppedRuntimeRejectsSubmitAndMigrate) {
+  // No shard grants after stop(): a submit would hand out a ticket that
+  // drain() waits on forever, and migrations would fill the dead ring.
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 1;
+  options.num_objects = 2;
+  options.num_shards = 1;
+  ConcurrentSharedMemory mem(options);
+  ConcurrentSharedMemory::Session& session = mem.session(0);
+  session.write(0, 7);
+  EXPECT_EQ(session.read_sync(0), 7u);
+  mem.stop();
+  EXPECT_THROW(session.read(0), Error);
+  EXPECT_THROW(session.write(1, 1), Error);
+  EXPECT_THROW(session.sync(0), Error);
+  EXPECT_THROW(mem.migrate(0, ProtocolKind::kWriteThroughV), Error);
+  // A ticket handed out here would make drain() block forever.
+  ASSERT_EQ(session.in_flight(), 0u);
+  session.drain();
+  EXPECT_EQ(mem.stats().ops, 2u);
+  EXPECT_EQ(mem.stats().migrations, 0u);
 }
 
 TEST(ConcurrentRuntimeTest, RejectsUnsupportedOps) {

@@ -222,124 +222,6 @@ TEST(JsonParse, MalformedInputRaisesError) {
     EXPECT_THROW(obs::parse_json(text), Error) << text;
 }
 
-// -- Histogram --------------------------------------------------------------
-
-TEST(Histogram, BucketBoundariesAreRightClosed) {
-  // Buckets: (-inf,1], (1,2], (2,4], (4,inf)
-  obs::Histogram h(std::vector<double>{1.0, 2.0, 4.0});
-  h.record(1.0);  // boundary value lands in the lower bucket
-  h.record(1.5);
-  h.record(2.0);
-  h.record(4.0);
-  h.record(4.0001);  // overflow
-  ASSERT_EQ(h.buckets().size(), 4u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[1], 2u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_EQ(h.buckets()[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 4.0001);
-}
-
-TEST(Histogram, PercentilesInterpolateAndClampToObservedRange) {
-  obs::Histogram h(std::vector<double>{10.0, 20.0, 40.0});
-  for (int i = 0; i < 100; ++i) h.record(15.0);
-  // All mass in one bucket: every quantile stays within the observed range.
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 15.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 15.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 15.0);
-  EXPECT_DOUBLE_EQ(obs::Histogram().percentile(0.5), 0.0);  // empty
-  EXPECT_THROW(h.percentile(1.5), Error);
-}
-
-TEST(Histogram, MergeIsExactForEqualBounds) {
-  obs::Histogram a(std::vector<double>{1.0, 10.0});
-  obs::Histogram b(std::vector<double>{1.0, 10.0});
-  a.record(0.5);
-  b.record(5.0);
-  b.record(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.sum(), 105.5);
-  EXPECT_DOUBLE_EQ(a.min(), 0.5);
-  EXPECT_DOUBLE_EQ(a.max(), 100.0);
-
-  obs::Histogram c(std::vector<double>{2.0});
-  EXPECT_THROW(a.merge(c), Error);
-}
-
-TEST(Histogram, MergeWithEmptySidesPreservesMoments) {
-  // Empty into non-empty: a no-op, min/max untouched.
-  obs::Histogram a(std::vector<double>{1.0, 10.0});
-  a.record(5.0);
-  a.merge(obs::Histogram(std::vector<double>{1.0, 10.0}));
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.min(), 5.0);
-  EXPECT_DOUBLE_EQ(a.max(), 5.0);
-
-  // Non-empty into empty: the target adopts the source's min/max instead
-  // of folding them against its zero-initialized fields.
-  obs::Histogram b(std::vector<double>{1.0, 10.0});
-  obs::Histogram c(std::vector<double>{1.0, 10.0});
-  c.record(3.0);
-  c.record(7.0);
-  b.merge(c);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.min(), 3.0);
-  EXPECT_DOUBLE_EQ(b.max(), 7.0);
-  EXPECT_DOUBLE_EQ(b.sum(), 10.0);
-
-  // Empty into empty stays empty.
-  obs::Histogram d(std::vector<double>{1.0});
-  d.merge(obs::Histogram(std::vector<double>{1.0}));
-  EXPECT_EQ(d.count(), 0u);
-  EXPECT_DOUBLE_EQ(d.min(), 0.0);
-  EXPECT_DOUBLE_EQ(d.max(), 0.0);
-  EXPECT_DOUBLE_EQ(d.percentile(0.99), 0.0);
-}
-
-TEST(Histogram, SingleBucketHistogramsMerge) {
-  // No bounds at all: one overflow bucket, count/sum/min/max still exact.
-  obs::Histogram a((std::vector<double>{}));
-  obs::Histogram b((std::vector<double>{}));
-  ASSERT_EQ(a.buckets().size(), 1u);
-  a.record(2.0);
-  b.record(8.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.buckets()[0], 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 8.0);
-}
-
-TEST(Histogram, ExponentialBoundsFormGeometricLadder) {
-  const auto bounds = obs::Histogram::exponential_bounds(1.0, 2.0, 5);
-  EXPECT_EQ(bounds, (std::vector<double>{1.0, 2.0, 4.0, 8.0, 16.0}));
-  EXPECT_THROW(obs::Histogram::exponential_bounds(0.0, 2.0, 3), Error);
-  // Bounds must be strictly increasing.
-  EXPECT_THROW(obs::Histogram(std::vector<double>{1.0, 1.0}), Error);
-}
-
-// -- TimeSeries -------------------------------------------------------------
-
-TEST(TimeSeries, ThinsByStrideDoublingInsteadOfTruncating) {
-  obs::TimeSeries s(8);
-  for (int i = 0; i < 100; ++i)
-    s.sample(static_cast<double>(i), static_cast<double>(i));
-  EXPECT_EQ(s.offered(), 100u);
-  EXPECT_LE(s.points().size(), 8u);
-  ASSERT_GE(s.points().size(), 2u);
-  // Retained points must span the run, not just its head.
-  EXPECT_DOUBLE_EQ(s.points().front().time, 0.0);
-  EXPECT_GT(s.points().back().time, 50.0);
-  EXPECT_DOUBLE_EQ(s.max_value(), 99.0);
-  // Strictly increasing times.
-  for (std::size_t i = 1; i < s.points().size(); ++i)
-    EXPECT_LT(s.points()[i - 1].time, s.points()[i].time);
-}
-
 // -- MetricsRegistry --------------------------------------------------------
 
 TEST(MetricsRegistry, LookupCreatesOnceAndKeepsReferencesStable) {
@@ -359,10 +241,10 @@ TEST(MetricsRegistry, KindMismatchThrowsAndFindReturnsNull) {
   obs::MetricsRegistry registry;
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), Error);
-  EXPECT_THROW(registry.histogram("x"), Error);
-  EXPECT_THROW(registry.series("x"), Error);
+  EXPECT_THROW(registry.quantile("x"), Error);
   EXPECT_NE(registry.find_counter("x"), nullptr);
   EXPECT_EQ(registry.find_gauge("x"), nullptr);
+  EXPECT_EQ(registry.find_quantile("x"), nullptr);
   EXPECT_EQ(registry.find_counter("absent"), nullptr);
 }
 
@@ -370,23 +252,25 @@ TEST(MetricsRegistry, MergeAccumulatesEveryInstrumentKind) {
   obs::MetricsRegistry a;
   a.counter("ops").inc(5);
   a.gauge("depth").set(2.0);
-  a.histogram("lat", {1.0, 10.0}).record(0.5);
-  a.series("util").sample(1.0, 0.25);
+  a.quantile("lat").record(0.5);
 
   obs::MetricsRegistry b;
   b.counter("ops").inc(3);
   b.counter("only_b").inc(1);
   b.gauge("depth").set(7.0);
-  b.histogram("lat", {1.0, 10.0}).record(5.0);
-  b.series("util").sample(2.0, 0.75);
+  b.quantile("lat").record(5.0);
+  b.quantile("only_b_lat").record(3.0);
 
   a.merge(b);
   EXPECT_EQ(a.counter("ops").value(), 8u);       // counters add
   EXPECT_EQ(a.counter("only_b").value(), 1u);    // absent names created
   EXPECT_DOUBLE_EQ(a.gauge("depth").value(), 7.0);  // gauges take other's
-  EXPECT_EQ(a.histogram("lat").count(), 2u);     // histograms merge
-  ASSERT_EQ(a.series("util").points().size(), 2u);
-  EXPECT_DOUBLE_EQ(a.series("util").points().back().value, 0.75);
+  EXPECT_EQ(a.quantile("lat").count(), 2u);      // quantiles merge
+  EXPECT_DOUBLE_EQ(a.quantile("lat").min(), 0.5);
+  EXPECT_DOUBLE_EQ(a.quantile("lat").max(), 5.0);
+  EXPECT_DOUBLE_EQ(a.quantile("lat").sum(), 5.5);
+  ASSERT_NE(a.find_quantile("only_b_lat"), nullptr);
+  EXPECT_DOUBLE_EQ(a.find_quantile("only_b_lat")->query(0.5), 3.0);
 
   // Merging per-task registries in task-index order is order-sensitive
   // only for gauges, which take the last-merged value by design.
@@ -401,14 +285,20 @@ TEST(MetricsRegistry, SnapshotIsValidJsonGroupedByKind) {
   obs::MetricsRegistry registry;
   registry.counter("runs").inc(7);
   registry.gauge("acc").set(3.5);
-  registry.histogram("lat").record(12.0);
-  registry.series("depth").sample(1.0, 2.0);
-  const std::string text = registry.to_json().dump(2);
+  registry.quantile("lat").record(12.0);
+  const obs::JsonValue snapshot = registry.to_json();
+  const std::string text = snapshot.dump(2);
   EXPECT_TRUE(valid_json(text));
   EXPECT_NE(text.find("\"runs\": 7"), std::string::npos);
   EXPECT_NE(text.find("\"acc\": 3.5"), std::string::npos);
-  EXPECT_NE(text.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(text.find("\"series\""), std::string::npos);
+  // Exactly three groups, one per instrument kind.
+  ASSERT_EQ(snapshot.size(), 3u);
+  EXPECT_EQ(snapshot.key(0), "counters");
+  EXPECT_EQ(snapshot.key(1), "gauges");
+  EXPECT_EQ(snapshot.key(2), "quantiles");
+  const obs::JsonValue* lat = snapshot.at(2).find("lat");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->find("p50")->as_number(), 12.0);
 }
 
 // -- TraceRecorder ring buffer ----------------------------------------------
@@ -512,9 +402,23 @@ TEST(SimulatorTracing, NullSinkRunIsIdenticalToTracedRun) {
   EXPECT_EQ(metrics.find_counter("sim.messages")->value(), traced.messages);
   ASSERT_NE(metrics.find_gauge("sim.acc"), nullptr);
   EXPECT_DOUBLE_EQ(metrics.find_gauge("sim.acc")->value(), traced.acc());
-  ASSERT_NE(metrics.find_histogram("sim.latency"), nullptr);
-  EXPECT_EQ(metrics.find_histogram("sim.latency")->count(),
+  ASSERT_NE(metrics.find_quantile("sim.latency"), nullptr);
+  EXPECT_EQ(metrics.find_quantile("sim.latency")->count(),
             traced.measured_ops);
+
+  // One queue-depth sample per inter-node delivery to the sequencer
+  // (node N = 3 here): the traced run's kMsgRecv events at that node.
+  std::size_t sequencer_recvs = 0;
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    const obs::TraceEvent& event = recorder.event(i);
+    if (event.kind == obs::EventKind::kMsgRecv && event.node == 3)
+      ++sequencer_recvs;
+  }
+  ASSERT_GT(sequencer_recvs, 0u);
+  ASSERT_NE(metrics.find_quantile("sim.seq_queue_depth"), nullptr);
+  EXPECT_EQ(metrics.find_quantile("sim.seq_queue_depth")->count(),
+            sequencer_recvs);
+  EXPECT_GE(metrics.find_quantile("sim.seq_queue_depth")->min(), 1.0);
 }
 
 TEST(SimulatorTracing, LegacyObserverRidesTheSinkChain) {

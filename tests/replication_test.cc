@@ -25,7 +25,7 @@ using sim::SystemConfig;
 // merge_stats
 // ---------------------------------------------------------------------------
 
-TEST(MergeStats, SumsCountsMaxesMaximaAndMergesHistograms) {
+TEST(MergeStats, SumsCountsMaxesMaximaAndMergesLatencySketches) {
   SimStats a;
   a.measured_cost = 10.0;
   a.measured_ops = 4;
@@ -35,7 +35,7 @@ TEST(MergeStats, SumsCountsMaxesMaximaAndMergesHistograms) {
   a.end_time = 100;
   a.latency_sum = 20.0;
   a.latency_max = 9;
-  a.latency_histogram.record(3.0);
+  a.latency_quantiles.record(3.0);
   a.message_mix[fsm::MsgType::kInval] = 2;
   a.cost_by_object = {1.0, 2.0};
 
@@ -48,7 +48,7 @@ TEST(MergeStats, SumsCountsMaxesMaximaAndMergesHistograms) {
   b.end_time = 50;
   b.latency_sum = 8.0;
   b.latency_max = 15;
-  b.latency_histogram.record(7.0);
+  b.latency_quantiles.record(7.0);
   b.message_mix[fsm::MsgType::kInval] = 1;
   b.message_mix[fsm::MsgType::kUpdate] = 4;
   b.cost_by_object = {0.5, 0.5, 2.0};  // longer vector: merge must resize
@@ -62,8 +62,8 @@ TEST(MergeStats, SumsCountsMaxesMaximaAndMergesHistograms) {
   EXPECT_EQ(a.end_time, 150u);
   EXPECT_DOUBLE_EQ(a.latency_sum, 28.0);
   EXPECT_EQ(a.latency_max, 15u);
-  EXPECT_EQ(a.latency_histogram.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.latency_histogram.sum(), 10.0);
+  EXPECT_EQ(a.latency_quantiles.count(), 2u);
+  EXPECT_DOUBLE_EQ(a.latency_quantiles.sum(), 10.0);
   EXPECT_EQ(a.message_mix[fsm::MsgType::kInval], 3u);
   EXPECT_EQ(a.message_mix[fsm::MsgType::kUpdate], 4u);
   ASSERT_EQ(a.cost_by_object.size(), 3u);
@@ -127,8 +127,8 @@ TEST(RunReplications, MergedTotalsEqualSerialLoopAndAreThreadInvariant) {
   EXPECT_EQ(serial.merged.end_time, parallel.merged.end_time);
   EXPECT_EQ(serial.merged.latency_sum, parallel.merged.latency_sum);
   EXPECT_EQ(serial.merged.latency_max, parallel.merged.latency_max);
-  EXPECT_EQ(serial.merged.latency_histogram.buckets(),
-            parallel.merged.latency_histogram.buckets());
+  EXPECT_EQ(serial.merged.latency_quantiles.to_json().dump(),
+            parallel.merged.latency_quantiles.to_json().dump());
   ASSERT_EQ(serial.acc_samples, parallel.acc_samples);
   EXPECT_EQ(serial.acc.mean, parallel.acc.mean);
   EXPECT_EQ(serial.acc.half_width, parallel.acc.half_width);
@@ -181,6 +181,22 @@ TEST(RunReplications, PublishesMergedMetricsInReplicationOrder) {
   const obs::Gauge* mean = metrics.find_gauge("replication.acc_mean");
   ASSERT_NE(mean, nullptr);
   EXPECT_DOUBLE_EQ(mean->value(), stats.acc.mean);
+
+  // The registry's latency sketch covers the same operations as the
+  // merged SimStats sketch.
+  const obs::Quantile* latency = metrics.find_quantile("sim.latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), stats.merged.latency_quantiles.count());
+
+  // Sketches merge in replication order, so the thread count cannot
+  // change a single quantile.
+  obs::MetricsRegistry serial;
+  obs::MetricsRegistry parallel;
+  run(3, 1, &serial);
+  run(3, 4, &parallel);
+  ASSERT_NE(serial.to_json().find("quantiles"), nullptr);
+  EXPECT_EQ(serial.to_json().find("quantiles")->dump(),
+            parallel.to_json().find("quantiles")->dump());
 }
 
 TEST(RunReplications, ExternalRunnerGivesSameResultsAsInternal) {

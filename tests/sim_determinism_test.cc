@@ -287,7 +287,7 @@ TEST(SimDeterminism, ChannelsAreFifoUnderRandomLatency) {
 // ---------------------------------------------------------------------------
 // Empty measurement window: a run whose operations all complete inside
 // warmup must report zeroed latency statistics (not stale or garbage
-// values) — mean 0, max 0, empty histogram, percentile 0.
+// values) — mean 0, max 0, empty latency sketch, percentile 0.
 // ---------------------------------------------------------------------------
 
 TEST(SimDeterminism, EmptyMeasurementWindowYieldsZeroLatencyStats) {
@@ -308,8 +308,8 @@ TEST(SimDeterminism, EmptyMeasurementWindowYieldsZeroLatencyStats) {
   EXPECT_EQ(stats.mean_write_latency(), 0.0);
   EXPECT_EQ(stats.latency_max, 0u);
   EXPECT_EQ(stats.latency_sum, 0.0);
-  EXPECT_EQ(stats.latency_histogram.count(), 0u);
-  EXPECT_EQ(stats.latency_histogram.percentile(0.99), 0.0);
+  EXPECT_EQ(stats.latency_quantiles.count(), 0u);
+  EXPECT_EQ(stats.latency_quantiles.query(0.99), 0.0);
   EXPECT_EQ(stats.acc(), 0.0);
 }
 

@@ -78,6 +78,24 @@ TEST(TraceIo, RejectsMalformedInput) {
         "drsm-trace v1\nclients 2\nobjects 1\n9 0 w\n");  // bad node
     EXPECT_THROW(load_trace(in), Error);
   }
+  // Counts and ids are whole unsigned decimal tokens that fit NodeId /
+  // ObjectId: a stream extractor would wrap "-1" to the type's maximum and
+  // stop "3x" at the 3.
+  for (const char* text : {
+           "drsm-trace v1\nclients -1\nobjects 1\n",
+           "drsm-trace v1\nclients 3x\nobjects 1\n",
+           "drsm-trace v1\nclients 2\nobjects -1\n",
+           "drsm-trace v1\nclients 2\nobjects 1 1\n",
+           "drsm-trace v1\nclients 4294967296\nobjects 1\n",
+           "drsm-trace v1\nclients 4294967295\nobjects 1\n-1 0 w\n",
+           "drsm-trace v1\nclients 2\nobjects 4294967295\n0 -1 r\n",
+           "drsm-trace v1\nclients 2\nobjects 1\n+1 0 w\n",
+           "drsm-trace v1\nclients 2\nobjects 1\n0 0 wr\n",
+           "drsm-trace v1\nclients 2\nobjects 1\n0 0 w 1\n",
+       }) {
+    std::stringstream in(text);
+    EXPECT_THROW(load_trace(in), Error) << text;
+  }
   EXPECT_THROW(load_trace_file("/nonexistent/trace.txt"), Error);
 }
 
