@@ -97,14 +97,12 @@ int main() {
   std::printf("per-object recommendation:\n");
   std::vector<std::vector<std::string>> rows;
   for (ObjectId j = 0; j < kObjects; ++j) {
-    const auto p = analytic::predict_from_trace(rec.object_protocol[j],
-                                                config, trace);
     rows.push_back({strfmt("%u", j),
                     j % 3 == 0 ? "private" : (j % 3 == 1 ? "producer/"
                                                            "consumers"
                                                          : "contended"),
                     protocols::to_string(rec.object_protocol[j]),
-                    strfmt("%.1f", p.object_acc[j])});
+                    strfmt("%.1f", rec.object_acc[j])});
   }
   std::printf("%s\n",
               render_table({"object", "archetype", "protocol",

@@ -7,9 +7,10 @@
 //    activity-center move (client 0 dominates every object, then client 1
 //    takes over).  The built-in AccessStats telemetry must see it: the
 //    drift log records one center move per object, the hot set tracks the
-//    EWMA access rates, and classify_object() — the selector's
-//    observe-path hook — produces a protocol recommendation per object
-//    from nothing but the live per-node mix.
+//    EWMA access rates, and the analytic classifier
+//    (AccSolver::best_protocol over analytic::spec_from_counts of the
+//    live per-node mix) produces a protocol recommendation per object
+//    from nothing but that mix.
 //
 //  * sim_stream: attach the same telemetry as an EventSink to a full
 //    EventSimulator run (it consumes the kOpIssue stream), proving the
@@ -20,8 +21,10 @@
 #include <cstdio>
 
 #include "adaptive/selector.h"
+#include "analytic/predictor.h"
 #include "bench_util.h"
 #include "obs/access_stats.h"
+#include "support/error.h"
 #include "workload/generator.h"
 
 namespace {
@@ -79,15 +82,17 @@ int main() {
   }
 
   const obs::AccessStats& telemetry = memory.telemetry();
-  adaptive::AdaptiveSelector selector(
-      {kClients, options.memory.costs, 1});
+  analytic::AccSolver solver({kClients, options.memory.costs, 1});
 
   std::vector<std::vector<std::string>> rows;
   auto& objects = report.root()["objects"];
   objects = obs::JsonValue::array();
   for (ObjectId j = 0; j < kObjects; ++j) {
     const auto& stats = telemetry.object(j);
-    const auto decision = selector.classify_object(telemetry, j);
+    const auto spec =
+        analytic::spec_from_counts(telemetry.node_mix(j), kClients);
+    DRSM_CHECK(spec.has_value(), "no recent client accesses to the object");
+    const auto decision = solver.best_protocol(*spec);
     auto& row = objects.push_back(obs::JsonValue::object());
     row["object"] = static_cast<std::size_t>(j);
     row["reads"] = static_cast<double>(stats.reads);
@@ -99,7 +104,7 @@ int main() {
     row["center_share"] = stats.center_share;
     row["writer_locality"] = stats.writer_locality;
     row["classified_protocol"] = bench::short_name(decision.protocol);
-    row["predicted_acc"] = decision.predicted_acc;
+    row["predicted_acc"] = decision.acc;
     rows.push_back(
         {strfmt("%u", j), strfmt("%llu", (unsigned long long)stats.reads),
          strfmt("%llu", (unsigned long long)stats.writes),

@@ -54,18 +54,18 @@ int main() {
                 solver.acc(kind, workload_spec));
   const auto best = solver.best_protocol(workload_spec);
   std::printf("cheapest protocol for this workload: %s\n",
-              protocols::to_string(best));
+              protocols::to_string(best.protocol));
 
   // --- 3. Validate by simulation -----------------------------------------
   sim::SimOptions sim_options;
   sim_options.max_ops = 20000;
   sim_options.warmup_ops = 500;
-  sim::EventSimulator simulator(best, config, sim_options);
+  sim::EventSimulator simulator(best.protocol, config, sim_options);
   workload::ConcurrentDriver driver(workload_spec, /*seed=*/1);
   const sim::SimStats stats = simulator.run(driver);
   std::printf(
       "\nsimulated %-16s acc = %.2f (predicted %.2f) over %zu ops\n",
-      protocols::to_string(best), stats.acc(),
-      solver.acc(best, workload_spec), stats.measured_ops);
+      protocols::to_string(best.protocol), stats.acc(), best.acc,
+      stats.measured_ops);
   return 0;
 }

@@ -1,7 +1,9 @@
 // trace_advisor — end-to-end workload analysis from a recorded trace:
-// estimate the paper's workload parameters from event frequencies,
-// predict acc for all eight protocols with the exact model, and recommend
-// a per-object protocol placement.
+// estimate the workload's sample space from event frequencies
+// (analytic::spec_from_trace), predict acc for all eight protocols with
+// the exact model, and recommend a per-object protocol placement.  A trace
+// the model cannot price (no read/write records) exits 1 with the
+// library's message, like a trace that fails to load.
 //
 // Usage:
 //   trace_advisor <trace-file>     analyse a saved trace (see
@@ -44,36 +46,21 @@ workload::OperationTrace demo_trace(const std::string& path) {
   return trace;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  workload::OperationTrace trace;
-  try {
-    if (argc > 1 && std::string(argv[1]) != "--demo") {
-      trace = workload::load_trace_file(argv[1]);
-    } else {
-      trace = demo_trace("/tmp/drsm_demo.trace");
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-
+void analyse(const workload::OperationTrace& trace) {
   std::printf("trace: %zu operations, %zu clients, %zu objects\n\n",
               trace.entries.size(), trace.num_clients, trace.num_objects);
 
-  // Estimated parameters (Section 4.2: relative frequencies of events).
-  const auto estimate = trace.estimate_parameters();
+  // Estimated sample space (Section 4.2: relative frequencies of events).
+  const auto spec = analytic::spec_from_trace(trace);
+  double write_probability = 0.0;
+  for (const auto& event : spec.events)
+    if (event.op == fsm::OpKind::kWrite)
+      write_probability += event.probability;
   std::printf("estimated overall write probability p-hat = %.3f\n",
-              estimate.write_probability);
-  for (NodeId node = 0; node <= trace.num_clients; ++node) {
-    if (estimate.node_read_share[node] + estimate.node_write_share[node] <=
-        0.0)
-      continue;
-    std::printf("  node %u: read share %.3f, write share %.3f\n", node,
-                estimate.node_read_share[node],
-                estimate.node_write_share[node]);
-  }
+              write_probability);
+  for (const auto& event : spec.events)
+    std::printf("  node %u %-5s %.3f\n", event.node, fsm::to_string(event.op),
+                event.probability);
 
   sim::SystemConfig config;
   config.num_clients = trace.num_clients;
@@ -106,5 +93,18 @@ int main(int argc, char** argv) {
       "%.2f\n",
       rec.acc, protocols::to_string(rec.uniform_best),
       rec.uniform_best_acc);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    analyse(argc > 1 && std::string(argv[1]) != "--demo"
+                ? workload::load_trace_file(argv[1])
+                : demo_trace("/tmp/drsm_demo.trace"));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   return 0;
 }

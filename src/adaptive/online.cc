@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "analytic/predictor.h"
 #include "support/error.h"
 
 namespace drsm::adaptive {
@@ -52,7 +53,7 @@ void OnlineController::decide() {
     if (lifetime.reads + lifetime.writes < options_.min_observations)
       continue;
     const auto spec =
-        AdaptiveSelector::spec_from_node_mix(stats_.node_mix(object), clients);
+        analytic::spec_from_counts(stats_.node_mix(object), clients);
     if (!spec) continue;
     const ProtocolKind next =
         selector_.choose(current_[object], *spec, options_.hysteresis);

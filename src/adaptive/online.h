@@ -15,9 +15,9 @@
 // record() is one lock-free ring push (drops are counted, not blocked on:
 // telemetry is sampling, losing a record under burst cannot corrupt
 // anything).  Decisions go through the one hysteresis gate the inline loop
-// uses too (AdaptiveSelector::choose, fed by spec_from_node_mix), plus a
-// per-object cooldown in decision passes, since a live migration has a
-// real cost (drain + seed) that re-pricing does not see.
+// uses too (AdaptiveSelector::choose, fed by analytic::spec_from_counts),
+// plus a per-object cooldown in decision passes, since a live migration
+// has a real cost (drain + seed) that re-pricing does not see.
 //
 // The controller tracks each object's protocol itself: it is the only
 // migration issuer, and the shard applies migrations in ring order, so

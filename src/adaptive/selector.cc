@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "support/error.h"
+#include "analytic/predictor.h"
 
 namespace drsm::adaptive {
 
@@ -13,65 +13,21 @@ using protocols::ProtocolKind;
 AdaptiveSelector::AdaptiveSelector(
     const sim::SystemConfig& config,
     std::vector<ProtocolKind> candidates)
-    : solver_(config),
-      candidates_(std::move(candidates)),
-      num_clients_(config.num_clients) {
+    : solver_(config), candidates_(std::move(candidates)) {
   if (candidates_.empty())
     candidates_.assign(protocols::kAllProtocols.begin(),
                        protocols::kAllProtocols.end());
 }
 
-AdaptiveSelector::Classification AdaptiveSelector::classify(
-    const workload::WorkloadSpec& spec) {
-  Classification best{candidates_.front(),
-                      solver_.acc(candidates_.front(), spec)};
-  for (std::size_t i = 1; i < candidates_.size(); ++i) {
-    const double acc = solver_.acc(candidates_[i], spec);
-    if (acc < best.predicted_acc) best = {candidates_[i], acc};
-  }
-  return best;
-}
-
 ProtocolKind AdaptiveSelector::choose(ProtocolKind incumbent,
                                       const workload::WorkloadSpec& spec,
                                       double hysteresis) {
-  const Classification best = classify(spec);
+  const analytic::AccSolver::Choice best =
+      solver_.best_protocol(spec, candidates_);
   if (best.protocol == incumbent) return incumbent;
   const double incumbent_acc = solver_.acc(incumbent, spec);
-  return best.predicted_acc < (1.0 - hysteresis) * incumbent_acc
-             ? best.protocol
-             : incumbent;
-}
-
-std::optional<workload::WorkloadSpec> AdaptiveSelector::spec_from_node_mix(
-    const std::vector<obs::AccessStats::NodeMix>& mix,
-    std::size_t num_clients) {
-  const std::size_t nodes = std::min(mix.size(), num_clients);
-  double total = 0.0;
-  for (std::size_t node = 0; node < nodes; ++node)
-    total += static_cast<double>(mix[node].reads + mix[node].writes);
-  if (total == 0.0) return std::nullopt;
-  workload::WorkloadSpec spec;
-  spec.name = "telemetry";
-  for (NodeId node = 0; node < nodes; ++node) {
-    const double reads = static_cast<double>(mix[node].reads);
-    const double writes = static_cast<double>(mix[node].writes);
-    if (reads == 0.0 && writes == 0.0) continue;
-    spec.events.push_back({node, OpKind::kRead, reads / total});
-    spec.events.push_back({node, OpKind::kWrite, writes / total});
-  }
-  spec.validate();
-  return spec;
-}
-
-workload::WorkloadSpec AdaptiveSelector::spec_from_telemetry(
-    const obs::AccessStats& stats, ObjectId object,
-    std::size_t num_clients) {
-  std::optional<workload::WorkloadSpec> spec =
-      spec_from_node_mix(stats.node_mix(object), num_clients);
-  DRSM_CHECK(spec.has_value(),
-             "spec_from_telemetry: no recent client accesses to the object");
-  return std::move(*spec);
+  return best.acc < (1.0 - hysteresis) * incumbent_acc ? best.protocol
+                                                       : incumbent;
 }
 
 obs::AccessStatsOptions AdaptiveSelector::recent_mix_options(
@@ -79,11 +35,6 @@ obs::AccessStatsOptions AdaptiveSelector::recent_mix_options(
   obs::AccessStatsOptions options;
   options.window_ops = std::max<std::size_t>(1, window / 2);
   return options;
-}
-
-AdaptiveSelector::Classification AdaptiveSelector::classify_object(
-    const obs::AccessStats& stats, ObjectId object) {
-  return classify(spec_from_telemetry(stats, object, num_clients_));
 }
 
 AdaptiveSharedMemory::AdaptiveSharedMemory(const Options& options)
@@ -132,7 +83,7 @@ void AdaptiveSharedMemory::maybe_reclassify() {
         mix[n].writes += object_mix[n].writes;
       }
     }
-    const auto spec = AdaptiveSelector::spec_from_node_mix(mix, clients);
+    const auto spec = analytic::spec_from_counts(mix, clients);
     const ProtocolKind current = memory_.protocol();
     const ProtocolKind next =
         spec ? selector_.choose(current, *spec, options_.hysteresis)
@@ -148,8 +99,8 @@ void AdaptiveSharedMemory::maybe_reclassify() {
       const ObjectId object = static_cast<ObjectId>(j);
       const auto& stats = telemetry_.object(object);
       if (stats.reads + stats.writes < options_.min_observations) continue;
-      const auto spec = AdaptiveSelector::spec_from_node_mix(
-          telemetry_.node_mix(object), clients);
+      const auto spec =
+          analytic::spec_from_counts(telemetry_.node_mix(object), clients);
       if (!spec) continue;
       const ProtocolKind current = memory_.object_protocol(object);
       const ProtocolKind next =

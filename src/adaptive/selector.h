@@ -6,15 +6,14 @@
 // obs::AccessStats turns the observed operations into a recent per-node
 // mix (the paper notes the five parameters "may be obtained by estimating
 // the relative frequencies of events in some real distributed
-// computation"); AdaptiveSelector converts that mix into an empirical
-// sample space, classifies it with the analytic model, and owns the one
-// hysteresis gate every adaptive loop decides with.  AdaptiveSharedMemory
-// closes the loop inline by switching a live SharedMemory at epoch
-// boundaries; OnlineController (online.h) runs the same gate beside the
-// concurrent runtime.
+// computation"); analytic::spec_from_counts turns that mix into an
+// empirical sample space and analytic::AccSolver::best_protocol is the
+// classifier.  AdaptiveSelector owns the one hysteresis gate every
+// adaptive loop decides with.  AdaptiveSharedMemory closes the loop inline
+// by switching a live SharedMemory at epoch boundaries; OnlineController
+// (online.h) runs the same gate beside the concurrent runtime.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "analytic/solver.h"
@@ -24,58 +23,29 @@
 
 namespace drsm::adaptive {
 
-/// Classifier: picks the acc-minimizing protocol for a workload.
+/// The hysteresis gate over the analytic classifier.
 class AdaptiveSelector {
  public:
   AdaptiveSelector(const sim::SystemConfig& config,
                    std::vector<protocols::ProtocolKind> candidates = {});
 
-  struct Classification {
-    protocols::ProtocolKind protocol;
-    double predicted_acc = 0.0;
-  };
-  Classification classify(const workload::WorkloadSpec& spec);
-
-  /// The hysteresis gate: classifies `spec`, then re-prices `incumbent` on
-  /// the same spec, and returns the challenger only when its predicted acc
-  /// beats the incumbent's by the relative `hysteresis` band (0 still
-  /// demands a strict improvement) — otherwise the incumbent, so
-  /// near-breakeven workloads do not flap.
+  /// Classifies `spec` (AccSolver::best_protocol over the candidates), then
+  /// re-prices `incumbent` on the same spec, and returns the winner only
+  /// when its predicted acc beats the incumbent's by the relative
+  /// `hysteresis` band (0 still demands a strict improvement) — otherwise
+  /// the incumbent, so near-breakeven workloads do not flap.
   protocols::ProtocolKind choose(protocols::ProtocolKind incumbent,
                                  const workload::WorkloadSpec& spec,
                                  double hysteresis);
-
-  /// A recent per-node read/write mix (obs::AccessStats::node_mix rows) as
-  /// an empirical sample space over the client rows `node < num_clients`;
-  /// nullopt when those rows hold no accesses.
-  static std::optional<workload::WorkloadSpec> spec_from_node_mix(
-      const std::vector<obs::AccessStats::NodeMix>& mix,
-      std::size_t num_clients);
-
-  /// Builds an empirical per-object sample space from live telemetry: the
-  /// recent (last closed + current window) per-node read/write mix of
-  /// `object`, restricted to client nodes.  Requires at least one client
-  /// access to the object in that window span.
-  static workload::WorkloadSpec spec_from_telemetry(
-      const obs::AccessStats& stats, ObjectId object,
-      std::size_t num_clients);
 
   /// Telemetry options whose recent mix spans about `window` accesses:
   /// node_mix sums the last closed window plus the current partial one, so
   /// each window is half the span.
   static obs::AccessStatsOptions recent_mix_options(std::size_t window);
 
-  /// Classifies `object` straight from telemetry — the observe-path hook:
-  /// feed an AccessStats from the runtime's event stream, ask which
-  /// protocol the analytic model predicts cheapest for what the object is
-  /// *currently* experiencing.
-  Classification classify_object(const obs::AccessStats& stats,
-                                 ObjectId object);
-
  private:
   analytic::AccSolver solver_;
   std::vector<protocols::ProtocolKind> candidates_;
-  std::size_t num_clients_;
 };
 
 /// A SharedMemory that re-selects its protocol every `epoch_ops`

@@ -1,20 +1,34 @@
 // Trace-driven prediction: the paper notes the workload parameters "may
 // be obtained by estimating the relative frequencies of events in some
-// real distributed computation" (Section 4.2).  This module closes that
-// loop: from a recorded operation trace it estimates a per-object
-// empirical sample space, solves the exact model for each object, and
-// composes the overall expected cost per operation.
+// real distributed computation" (Section 4.2).  spec_from_counts is the
+// one conversion from counted (node, op) events to an empirical sample
+// space: recorded traces and the live obs::AccessStats mix both go
+// through it.  From a recorded trace this module estimates a per-object
+// sample space, solves the exact model for each object, and composes the
+// overall expected cost per operation.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "analytic/solver.h"
+#include "obs/access_stats.h"
 #include "workload/generator.h"
 
 namespace drsm::analytic {
 
+/// The empirical sample space of per-node (reads, writes) counts — rows
+/// indexed by node, as obs::AccessStats::node_mix returns them — over the
+/// rows `node < num_nodes`: one event per positive count with probability
+/// count / total, in node order, each node's read before its write.
+/// nullopt when those rows hold no reads or writes.
+std::optional<workload::WorkloadSpec> spec_from_counts(
+    const std::vector<obs::AccessStats::NodeMix>& rows,
+    std::size_t num_nodes);
+
 /// Empirical global sample space (node, op frequencies aggregated over all
-/// objects) of a trace.  Requires at least one read/write entry.
+/// objects) of a trace, sequencer events included.  Requires at least one
+/// read/write entry.
 workload::WorkloadSpec spec_from_trace(
     const workload::OperationTrace& trace);
 
@@ -39,6 +53,7 @@ TracePrediction predict_from_trace(protocols::ProtocolKind kind,
 /// the best single protocol for the whole trace.
 struct PlacementRecommendation {
   std::vector<protocols::ProtocolKind> object_protocol;  // per object
+  std::vector<double> object_acc;  // predicted acc of that choice
   double acc = 0.0;               // expected acc under per-object choice
   protocols::ProtocolKind uniform_best =
       protocols::ProtocolKind::kWriteThrough;

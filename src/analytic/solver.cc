@@ -136,21 +136,16 @@ std::vector<double> AccSolver::acc_batch(
   return out;
 }
 
-protocols::ProtocolKind AccSolver::best_protocol(
+AccSolver::Choice AccSolver::best_protocol(
     const workload::WorkloadSpec& spec,
     std::vector<protocols::ProtocolKind> candidates) {
   if (candidates.empty())
     candidates.assign(protocols::kAllProtocols.begin(),
                       protocols::kAllProtocols.end());
-  DRSM_CHECK(!candidates.empty(), "no candidate protocols");
-  protocols::ProtocolKind best = candidates.front();
-  double best_acc = acc(best, spec);
+  Choice best{candidates.front(), acc(candidates.front(), spec)};
   for (std::size_t i = 1; i < candidates.size(); ++i) {
     const double candidate_acc = acc(candidates[i], spec);
-    if (candidate_acc < best_acc) {
-      best_acc = candidate_acc;
-      best = candidates[i];
-    }
+    if (candidate_acc < best.acc) best = {candidates[i], candidate_acc};
   }
   return best;
 }

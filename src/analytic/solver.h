@@ -55,11 +55,15 @@ class AccSolver {
                              const workload::WorkloadSpec& spec);
 
   /// The protocol with minimum predicted acc for this workload among
-  /// `candidates` (all eight when empty) — the paper's "classifier for the
-  /// development of adaptive data replication coherence protocols".
-  protocols::ProtocolKind best_protocol(
-      const workload::WorkloadSpec& spec,
-      std::vector<protocols::ProtocolKind> candidates = {});
+  /// `candidates` (all eight when empty; the first wins ties), with that
+  /// acc — the paper's "classifier for the development of adaptive data
+  /// replication coherence protocols".  Candidates are priced in order.
+  struct Choice {
+    protocols::ProtocolKind protocol = protocols::ProtocolKind::kWriteThrough;
+    double acc = 0.0;
+  };
+  Choice best_protocol(const workload::WorkloadSpec& spec,
+                       std::vector<protocols::ProtocolKind> candidates = {});
 
   const sim::SystemConfig& config() const { return config_; }
 

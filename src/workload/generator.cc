@@ -9,28 +9,6 @@ namespace drsm::workload {
 
 using fsm::OpKind;
 
-OperationTrace::Estimate OperationTrace::estimate_parameters() const {
-  Estimate est;
-  if (entries.empty()) return est;
-  est.node_read_share.assign(num_clients + 1, 0.0);
-  est.node_write_share.assign(num_clients + 1, 0.0);
-  std::size_t writes = 0;
-  for (const TraceEntry& e : entries) {
-    DRSM_CHECK(e.node <= num_clients, "trace entry node out of range");
-    if (e.op == OpKind::kWrite) {
-      ++writes;
-      est.node_write_share[e.node] += 1.0;
-    } else if (e.op == OpKind::kRead) {
-      est.node_read_share[e.node] += 1.0;
-    }
-  }
-  const double total = static_cast<double>(entries.size());
-  est.write_probability = static_cast<double>(writes) / total;
-  for (double& v : est.node_read_share) v /= total;
-  for (double& v : est.node_write_share) v /= total;
-  return est;
-}
-
 std::vector<double> zipf_weights(std::size_t m, double s) {
   DRSM_CHECK(m >= 1, "zipf_weights: need at least one object");
   DRSM_CHECK(s >= 0.0, "zipf_weights: exponent must be non-negative");

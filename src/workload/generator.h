@@ -12,7 +12,9 @@
 //
 // OperationTrace records generated operations and can be replayed through
 // either runtime; this is the substitution for the paper's "real
-// distributed computation" workloads.
+// distributed computation" workloads.  Estimating the workload back from a
+// trace's relative event frequencies (Section 4.2) is
+// analytic::spec_from_trace (analytic/predictor.h).
 #pragma once
 
 #include <optional>
@@ -36,17 +38,6 @@ struct OperationTrace {
   std::size_t num_clients = 0;
   std::size_t num_objects = 1;
   std::vector<TraceEntry> entries;
-
-  /// Estimates the paper's workload parameters (p-hat and per-client
-  /// read/write shares) from relative event frequencies — "they may be
-  /// obtained by estimating the relative frequencies of events in some real
-  /// distributed computation" (Section 4.2).
-  struct Estimate {
-    double write_probability = 0.0;           // overall p-hat
-    std::vector<double> node_read_share;      // per client, per object avg
-    std::vector<double> node_write_share;
-  };
-  Estimate estimate_parameters() const;
 };
 
 /// Zipf(s) popularity weights over m objects: weight_j = 1/(j+1)^s.  With

@@ -1,6 +1,5 @@
 #include "workload/trace_io.h"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -35,18 +34,15 @@ OpKind op_from_code(char code) {
   }
 }
 
-/// `token` as a whole unsigned decimal number that fits T: no sign, no
-/// trailing characters, no wrap-around.
+/// parse_number, or drsm::Error naming the field and the line.
 template <typename T>
-T parse_number(const std::string& token, const char* what,
-               std::size_t line_no) {
-  T value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (token.empty() || ec != std::errc() || ptr != end)
+T parse_field(const std::string& token, const char* what,
+              std::size_t line_no) {
+  const std::optional<T> value = parse_number<T>(token);
+  if (!value)
     throw Error(strfmt("trace: bad %s '%s' at line %zu", what, token.c_str(),
                        line_no));
-  return value;
+  return *value;
 }
 
 }  // namespace
@@ -83,7 +79,7 @@ OperationTrace load_trace(std::istream& in) {
       DRSM_CHECK(fields.size() == 2,
                  strfmt("trace: bad clients line %zu", line_no));
       trace.num_clients =
-          parse_number<NodeId>(fields[1], "clients count", line_no);
+          parse_field<NodeId>(fields[1], "clients count", line_no);
       have_clients = true;
       continue;
     }
@@ -91,7 +87,7 @@ OperationTrace load_trace(std::istream& in) {
       DRSM_CHECK(fields.size() == 2,
                  strfmt("trace: bad objects line %zu", line_no));
       trace.num_objects =
-          parse_number<ObjectId>(fields[1], "objects count", line_no);
+          parse_field<ObjectId>(fields[1], "objects count", line_no);
       have_objects = true;
       continue;
     }
@@ -100,8 +96,8 @@ OperationTrace load_trace(std::istream& in) {
     DRSM_CHECK(fields.size() == 3 && fields[2].size() == 1,
                strfmt("trace: malformed record at line %zu", line_no));
     TraceEntry entry;
-    entry.node = parse_number<NodeId>(fields[0], "node", line_no);
-    entry.object = parse_number<ObjectId>(fields[1], "object", line_no);
+    entry.node = parse_field<NodeId>(fields[0], "node", line_no);
+    entry.object = parse_field<ObjectId>(fields[1], "object", line_no);
     entry.op = op_from_code(fields[2][0]);
     DRSM_CHECK(entry.node <= trace.num_clients,
                strfmt("trace: node out of range at line %zu", line_no));

@@ -1,5 +1,5 @@
-// Tests for the self-tuning extension: the analytic classifier and the
-// protocol-switching shared memory.
+// Tests for the self-tuning extension: the analytic classifier
+// (AccSolver::best_protocol) and the protocol-switching shared memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 namespace drsm {
 namespace {
 
-using adaptive::AdaptiveSelector;
 using adaptive::AdaptiveSharedMemory;
 using fsm::OpKind;
 using protocols::ProtocolKind;
@@ -28,9 +27,9 @@ TEST(AdaptiveSelector, PicksUpdateProtocolForReadSharedWorkload) {
   // Many readers, rare writes, small write parameters, huge objects:
   // broadcasting updates (Dragon) beats every invalidate protocol because
   // re-fetching S-sized objects dominates.
-  AdaptiveSelector selector(make_config(4, 10000.0, 1.0));
+  analytic::AccSolver solver(make_config(4, 10000.0, 1.0));
   const auto spec = workload::read_disturbance(0.05, 0.3, 3);
-  const auto decision = selector.classify(spec);
+  const auto decision = solver.best_protocol(spec);
   EXPECT_EQ(decision.protocol, ProtocolKind::kDragon)
       << protocols::to_string(decision.protocol);
 }
@@ -39,9 +38,9 @@ TEST(AdaptiveSelector, PicksOwnershipProtocolForWriteHeavyWorkload) {
   // A single hot writer: the ownership protocols (Write-Once, Synapse,
   // Illinois, Berkeley) all run it for free; the classifier must pick one
   // of them, never a write-through or update protocol.
-  AdaptiveSelector selector(make_config(4, 100.0, 30.0));
-  const auto decision = selector.classify(workload::ideal_workload(0.9));
-  EXPECT_NEAR(decision.predicted_acc, 0.0, 1e-9);
+  analytic::AccSolver solver(make_config(4, 100.0, 30.0));
+  const auto decision = solver.best_protocol(workload::ideal_workload(0.9));
+  EXPECT_NEAR(decision.acc, 0.0, 1e-9);
   const ProtocolKind ownership[] = {
       ProtocolKind::kWriteOnce, ProtocolKind::kSynapse,
       ProtocolKind::kIllinois, ProtocolKind::kBerkeley};
@@ -52,8 +51,8 @@ TEST(AdaptiveSelector, PicksOwnershipProtocolForWriteHeavyWorkload) {
   // With write disturbance and cheap object transfers (S < P), migrating
   // ownership to each writer beats forwarding every write's parameters:
   // Berkeley is the unique winner.
-  AdaptiveSelector cheap_transfer(make_config(4, 4.0, 30.0));
-  const auto contended = cheap_transfer.classify(
+  analytic::AccSolver cheap_transfer(make_config(4, 4.0, 30.0));
+  const auto contended = cheap_transfer.best_protocol(
       workload::write_disturbance(0.6, 0.1, 2));
   EXPECT_EQ(contended.protocol, ProtocolKind::kBerkeley)
       << protocols::to_string(contended.protocol);
@@ -62,24 +61,23 @@ TEST(AdaptiveSelector, PicksOwnershipProtocolForWriteHeavyWorkload) {
 TEST(AdaptiveSelector, SingleCandidateIsAlwaysChosen) {
   // The selection boundary collapses when only one protocol is eligible:
   // whatever the workload says, the candidate list wins.
-  AdaptiveSelector selector(make_config(4, 100.0, 30.0),
-                            {ProtocolKind::kSynapse});
-  EXPECT_EQ(selector.classify(workload::ideal_workload(0.9)).protocol,
-            ProtocolKind::kSynapse);
-  EXPECT_EQ(
-      selector.classify(workload::read_disturbance(0.05, 0.3, 3)).protocol,
-      ProtocolKind::kSynapse);
+  analytic::AccSolver solver(make_config(4, 100.0, 30.0));
+  for (const auto& spec : {workload::ideal_workload(0.9),
+                           workload::read_disturbance(0.05, 0.3, 3)})
+    EXPECT_EQ(solver.best_protocol(spec, {ProtocolKind::kSynapse}).protocol,
+              ProtocolKind::kSynapse)
+        << spec.name;
 }
 
 TEST(AdaptiveSelector, DegenerateWorkloadExtremesClassifyCleanly) {
   // p = 0 (reads only) and p = 1 (writes only) at a single activity
   // center are free under every ownership protocol; the classifier must
   // handle both extremes without blowing up and report acc = 0.
-  AdaptiveSelector selector(make_config(3, 100.0, 30.0));
-  const auto reads_only = selector.classify(workload::ideal_workload(0.0));
-  EXPECT_NEAR(reads_only.predicted_acc, 0.0, 1e-9);
-  const auto writes_only = selector.classify(workload::ideal_workload(1.0));
-  EXPECT_NEAR(writes_only.predicted_acc, 0.0, 1e-9);
+  analytic::AccSolver solver(make_config(3, 100.0, 30.0));
+  const auto reads_only = solver.best_protocol(workload::ideal_workload(0.0));
+  EXPECT_NEAR(reads_only.acc, 0.0, 1e-9);
+  const auto writes_only = solver.best_protocol(workload::ideal_workload(1.0));
+  EXPECT_NEAR(writes_only.acc, 0.0, 1e-9);
 }
 
 TEST(AdaptiveSharedMemory, DoesNotSwitchBeforeMinObservations) {
@@ -104,14 +102,6 @@ TEST(AdaptiveSharedMemory, DoesNotSwitchBeforeMinObservations) {
   }
   EXPECT_EQ(memory.switches(), 0u);
   EXPECT_EQ(memory.current_protocol(), ProtocolKind::kWriteThrough);
-}
-
-TEST(AdaptiveSelector, AgreesWithAccSolverBestProtocol) {
-  const auto config = make_config(5, 200.0, 30.0);
-  AdaptiveSelector selector(config);
-  analytic::AccSolver solver(config);
-  const auto spec = workload::write_disturbance(0.2, 0.1, 2);
-  EXPECT_EQ(selector.classify(spec).protocol, solver.best_protocol(spec));
 }
 
 TEST(AdaptiveSharedMemory, SwitchesWhenThePhaseChanges) {

@@ -79,6 +79,40 @@ TEST(Predictor, SpecFromTraceRecoversGeneratingFrequencies) {
   }
 }
 
+TEST(Predictor, TraceAndLiveCountsGiveTheSameSpec) {
+  // One path from counts to the model: the same operations, recorded as
+  // a trace or observed live through AccessStats (one window spanning the
+  // whole stream), yield identical sample spaces.  Client 1 only reads and
+  // client 2 only writes, so neither may gain a zero-probability event.
+  workload::WorkloadSpec truth;
+  truth.name = "one-sided-clients";
+  truth.events = {{0, OpKind::kRead, 0.4},
+                  {0, OpKind::kWrite, 0.2},
+                  {1, OpKind::kRead, 0.3},
+                  {2, OpKind::kWrite, 0.1}};
+  workload::GlobalSequenceGenerator gen(truth, 31);
+  const auto trace = gen.record(5000, 3);
+
+  obs::AccessStatsOptions options;
+  options.window_ops = 2 * trace.entries.size();
+  obs::AccessStats stats(options);
+  for (const auto& e : trace.entries) stats.on_access(e.node, e.object, e.op);
+
+  const auto from_trace = analytic::spec_from_trace(trace);
+  const auto from_counts =
+      analytic::spec_from_counts(stats.node_mix(0), trace.num_clients);
+  ASSERT_TRUE(from_counts.has_value());
+  ASSERT_EQ(from_trace.events.size(), truth.events.size());
+  ASSERT_EQ(from_counts->events.size(), from_trace.events.size());
+  for (std::size_t i = 0; i < from_trace.events.size(); ++i) {
+    EXPECT_EQ(from_counts->events[i].node, from_trace.events[i].node) << i;
+    EXPECT_EQ(from_counts->events[i].op, from_trace.events[i].op) << i;
+    EXPECT_EQ(from_counts->events[i].probability,
+              from_trace.events[i].probability)
+        << i;
+  }
+}
+
 TEST(Predictor, PredictionMatchesTrueWorkloadAcc) {
   const auto config = make_config(3);
   const auto truth = workload::read_disturbance(0.25, 0.15, 2);

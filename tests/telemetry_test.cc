@@ -1,17 +1,18 @@
 // Tests for the per-object access telemetry (obs/access_stats.h): hot-set
 // extraction, activity-center drift detection on a scripted phase change,
-// the per-node recent mix, metric publication, and the adaptive selector's
-// telemetry-driven observe-path classification.
+// the per-node recent mix, metric publication, and the telemetry-driven
+// observe-path classification (analytic::spec_from_counts of the recent
+// mix, priced by AccSolver::best_protocol).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
 #include "adaptive/selector.h"
+#include "analytic/predictor.h"
 #include "obs/access_stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/error.h"
 
 namespace drsm {
 namespace {
@@ -161,12 +162,12 @@ TEST(TelemetryTest, ToJsonDescribesTheHotSet) {
 TEST(TelemetryTest, SpecFromTelemetryMatchesTheObservedMix) {
   AccessStats stats(small_windows());
   run_phase(stats, 0, /*center=*/1, /*disturber=*/0, 128);
-  const workload::WorkloadSpec spec =
-      adaptive::AdaptiveSelector::spec_from_telemetry(stats, 0,
-                                                      /*num_clients=*/3);
+  const auto spec =
+      analytic::spec_from_counts(stats.node_mix(0), /*num_nodes=*/3);
+  ASSERT_TRUE(spec.has_value());
   double total = 0.0;
   double center_share = 0.0;
-  for (const auto& event : spec.events) {
+  for (const auto& event : spec->events) {
     total += event.probability;
     if (event.node == 1) center_share += event.probability;
   }
@@ -177,8 +178,11 @@ TEST(TelemetryTest, SpecFromTelemetryMatchesTheObservedMix) {
 TEST(TelemetryTest, SpecFromTelemetryRejectsUntouchedObjects) {
   AccessStats stats(small_windows());
   stats.on_access(0, 0, fsm::OpKind::kRead);
-  EXPECT_THROW(adaptive::AdaptiveSelector::spec_from_telemetry(stats, 5, 3),
-               drsm::Error);
+  EXPECT_FALSE(analytic::spec_from_counts(stats.node_mix(5), 3).has_value());
+  // Rows at or past num_nodes (here the sequencer, node 3) do not count.
+  stats.on_access(3, 1, fsm::OpKind::kWrite);
+  EXPECT_FALSE(analytic::spec_from_counts(stats.node_mix(1), 3).has_value());
+  EXPECT_TRUE(analytic::spec_from_counts(stats.node_mix(1), 4).has_value());
 }
 
 TEST(TelemetryTest, ClassifyObjectPrefersInvalidationForWriteHeavy) {
@@ -187,7 +191,7 @@ TEST(TelemetryTest, ClassifyObjectPrefersInvalidationForWriteHeavy) {
   config.costs.s = 100.0;
   config.costs.p = 30.0;
   config.num_objects = 2;
-  adaptive::AdaptiveSelector selector(config);
+  analytic::AccSolver solver(config);
 
   AccessStats stats(small_windows());
   // Object 0: node 0 writes exclusively.  Object 1: all nodes read.
@@ -195,11 +199,16 @@ TEST(TelemetryTest, ClassifyObjectPrefersInvalidationForWriteHeavy) {
     stats.on_access(0, 0, fsm::OpKind::kWrite);
     stats.on_access(i % 3, 1, fsm::OpKind::kRead);
   }
-  const auto writer = selector.classify_object(stats, 0);
-  const auto readers = selector.classify_object(stats, 1);
-  EXPECT_GE(writer.predicted_acc, 0.0);
+  const auto best_for = [&](ObjectId object) {
+    return solver.best_protocol(
+        analytic::spec_from_counts(stats.node_mix(object), config.num_clients)
+            .value());
+  };
+  const auto writer = best_for(0);
+  const auto readers = best_for(1);
+  EXPECT_GE(writer.acc, 0.0);
   // An all-read workload costs nothing under any replication protocol.
-  EXPECT_NEAR(readers.predicted_acc, 0.0, 1e-9);
+  EXPECT_NEAR(readers.acc, 0.0, 1e-9);
 }
 
 TEST(TelemetryTest, AdaptiveMemoryExposesLiveTelemetry) {

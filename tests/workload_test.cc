@@ -1,8 +1,9 @@
 // Unit tests for workload characterization: the three deviations'
 // sample spaces, generators, trace recording/replay, and parameter
-// estimation from traces.
+// estimation from traces (analytic::spec_from_trace).
 #include <gtest/gtest.h>
 
+#include "analytic/predictor.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
@@ -106,10 +107,18 @@ TEST(Trace, RecordAndEstimateParameters) {
   GlobalSequenceGenerator gen(spec, 123);
   const OperationTrace trace = gen.record(50000, /*num_clients=*/3);
   ASSERT_EQ(trace.entries.size(), 50000u);
-  const auto est = trace.estimate_parameters();
-  EXPECT_NEAR(est.write_probability, 0.3, 0.02);
-  EXPECT_NEAR(est.node_read_share[1], 0.05, 0.01);
-  EXPECT_NEAR(est.node_write_share[0], 0.3, 0.02);
+  // The estimate is the trace's empirical sample space, in node order
+  // with each node's read before its write.
+  const WorkloadSpec est = analytic::spec_from_trace(trace);
+  double write_probability = 0.0;
+  for (const EventSpec& e : est.events)
+    if (e.op == OpKind::kWrite) write_probability += e.probability;
+  EXPECT_NEAR(write_probability, 0.3, 0.02);
+  ASSERT_EQ(est.events.size(), 4u);  // node 0 read/write, nodes 1-2 read
+  EXPECT_EQ(est.events[2].node, 1u);
+  EXPECT_NEAR(est.events[2].probability, 0.05, 0.01);
+  EXPECT_EQ(est.events[1].op, OpKind::kWrite);
+  EXPECT_NEAR(est.events[1].probability, 0.3, 0.02);
 }
 
 TEST(Trace, ReplayPreservesPerNodeProgramOrder) {

@@ -83,26 +83,31 @@ Args parse(int argc, char** argv) {
     const auto value = [&](const char* prefix) -> std::string {
       return arg.substr(std::string(prefix).size());
     };
+    const auto number = [&](const char* prefix) {
+      const auto n = parse_number<std::size_t>(value(prefix));
+      if (!n) throw Error("bad number in " + arg);
+      return *n;
+    };
     if (arg.rfind("--protocol=", 0) == 0) {
       const std::string name = value("--protocol=");
       if (name != "all")
         args.kinds = {protocols::protocol_from_string(name)};
     } else if (arg.rfind("--clients=", 0) == 0) {
-      args.clients = std::stoul(value("--clients="));
+      args.clients = number("--clients=");
     } else if (arg.rfind("--reads=", 0) == 0) {
-      args.reads = std::stoul(value("--reads="));
+      args.reads = number("--reads=");
     } else if (arg.rfind("--writes=", 0) == 0) {
-      args.writes = std::stoul(value("--writes="));
+      args.writes = number("--writes=");
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      args.seeds = std::stoul(value("--seeds="));
+      args.seeds = number("--seeds=");
     } else if (arg.rfind("--ops=", 0) == 0) {
-      args.ops = std::stoul(value("--ops="));
+      args.ops = number("--ops=");
     } else if (arg == "--no-probes") {
       args.probes = false;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = std::stoul(value("--threads="));
+      args.threads = number("--threads=");
     } else if (arg.rfind("--max-states=", 0) == 0) {
-      args.max_states = std::stoul(value("--max-states="));
+      args.max_states = number("--max-states=");
     } else if (arg == "--full-expansion") {
       args.full_expansion = true;
     } else if (arg == "--no-symmetry") {
@@ -130,7 +135,7 @@ Args parse(int argc, char** argv) {
             protocols::protocol_from_string(spec.substr(colon + 1)));
       }
     } else if (arg.rfind("--trigger=", 0) == 0) {
-      args.trigger = std::stoul(value("--trigger="));
+      args.trigger = number("--trigger=");
     } else {
       usage(argv[0]);
     }
