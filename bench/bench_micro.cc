@@ -9,7 +9,6 @@
 #include "linalg/stationary.h"
 #include "sim/event_sim.h"
 #include "sim/sequential.h"
-#include "sim/threaded.h"
 #include "analytic/lumped.h"
 #include "support/rng.h"
 #include "workload/generator.h"
@@ -98,24 +97,6 @@ void BM_ChainResolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChainResolve);
-
-void BM_ThreadedRuntimeThroughput(benchmark::State& state) {
-  const auto spec = workload::read_disturbance(0.3, 0.1, 2);
-  for (auto _ : state) {
-    state.PauseTiming();
-    workload::GlobalSequenceGenerator gen(spec, 7);
-    const auto trace = gen.record(2000, small_config().num_clients);
-    workload::TraceReplayDriver driver(trace);
-    state.ResumeTiming();
-    sim::ThreadedOptions options;
-    options.total_ops = trace.entries.size();
-    benchmark::DoNotOptimize(sim::run_threaded(
-        protocols::ProtocolKind::kWriteOnce, small_config(), options,
-        driver));
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ThreadedRuntimeThroughput);
 
 void BM_LumpedSolve(benchmark::State& state) {
   const std::size_t a = static_cast<std::size_t>(state.range(0));

@@ -1,24 +1,24 @@
 // Experiment E11 (concurrent runtime) — throughput of the sharded
 // concurrent DSM (dsm::ConcurrentSharedMemory) under real client threads,
-// and the channel/runtime baselines it is built on.
+// and the channel and sequential baselines it is measured against.
 //
 // Phases:
 //
-//  * channel:       the MPSC ring against the mutex+deque inbox it
-//                   replaced in sim::ThreadedRuntime (before/after line);
-//  * baseline:      strictly sequential dsm::SharedMemory and the
-//                   message-per-node ThreadedRuntime, for context;
+//  * channel:       the MPSC ring against the mutex+deque reference queue
+//                   with the same surface (sim::MutexQueue), 3 producers;
+//  * baseline:      strictly sequential dsm::SharedMemory, for context;
 //  * shard_sweep:   Zipf(0.99)-skewed read-mostly sessions against
-//                   S = 1, 2, 4 shards; median-of-3 ops/sec per point.  The
-//                   acceptance criteria live here: throughput must rise
-//                   monotonically with S and peak at >= 1M ops/sec;
+//                   S = 1, 2, 4 shards; median-of-3 ops/sec per point.
+//                   Whether throughput rose with every added shard is
+//                   recorded as monotone_shard_scaling; it does not fail
+//                   the bench;
 //  * thread_sweep:  session count 1..8 at the best shard count;
 //  * closed_loop:   a tiny window (W=8) for the latency-oriented regime,
 //                   with GK-sketch per-op latency percentiles;
 //  * protocol_sweep: all eight protocols at the sweet spot;
 //  * oracle:        the same workload with check::ShardedOracle attached
 //                   to every shard — the bench fails (nonzero exit) on any
-//                   coherence violation.
+//                   coherence violation, and only on that.
 //
 // Throughput numbers are wall-clock and thus machine-dependent; the
 // regression gate (tools/drsm_bench_diff) only pins the accuracy fields of
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -37,7 +36,6 @@
 #include "dsm/concurrent.h"
 #include "dsm/dsm.h"
 #include "sim/mpsc_ring.h"
-#include "sim/threaded.h"
 #include "support/rng.h"
 #include "workload/generator.h"
 
@@ -167,7 +165,7 @@ void merge_point(obs::JsonValue& row, const SweepPoint& point) {
     row[fields.key(i)] = fields.at(i);
 }
 
-// -- channel micro: ring vs the mutex inbox it replaced ---------------------
+// -- channel micro: ring vs the mutex+deque reference queue ----------------
 
 template <class Queue>
 double channel_items_per_sec(std::size_t producers,
@@ -194,31 +192,6 @@ double channel_items_per_sec(std::size_t producers,
   return static_cast<double>(expected) / elapsed_sec(start);
 }
 
-// -- threaded-runtime baseline ----------------------------------------------
-
-class MixDriver final : public sim::WorkloadDriver {
- public:
-  MixDriver(std::size_t total_ops, std::uint64_t seed)
-      : remaining_(total_ops),
-        zipf_(workload::zipf_weights(kObjects, kZipfSkew)),
-        rng_(seed) {}
-
-  std::optional<Op> next_op(NodeId /*node*/) override {
-    if (remaining_ == 0) return std::nullopt;
-    --remaining_;
-    Op op;
-    op.object = static_cast<ObjectId>(zipf_.sample(rng_));
-    op.kind = rng_.uniform() < kReadRatio ? fsm::OpKind::kRead
-                                          : fsm::OpKind::kWrite;
-    return op;
-  }
-
- private:
-  std::size_t remaining_;
-  CategoricalSampler zipf_;
-  Rng rng_;
-};
-
 }  // namespace
 
 int main() {
@@ -243,7 +216,7 @@ int main() {
       kWindow, ops_per_session, reps);
   bench::Report report("runtime");
 
-  // -- channel: before/after for the threaded-runtime inbox swap ---------
+  // -- channel: lock-free ring vs the mutex+deque reference queue --------
   report.phase("channel");
   const std::size_t channel_items = smoke ? 40000 : 400000;
   const double mutex_rate =
@@ -252,7 +225,7 @@ int main() {
   const double ring_rate =
       channel_items_per_sec<sim::MpscRing<std::uint64_t>>(
           3, channel_items / 3);
-  std::printf("inbox channel (3 producers): mutex+deque %.2fM items/s -> "
+  std::printf("channel (3 producers): mutex+deque %.2fM items/s -> "
               "mpsc ring %.2fM items/s (%.2fx)\n\n",
               mutex_rate / 1e6, ring_rate / 1e6, ring_rate / mutex_rate);
   {
@@ -263,7 +236,7 @@ int main() {
     row["ring_speedup"] = ring_rate / mutex_rate;
   }
 
-  // -- baselines: sequential facade and the per-node threaded runtime ----
+  // -- baseline: the sequential facade ------------------------------------
   report.phase("baseline");
   {
     dsm::SharedMemory::Options options;
@@ -285,27 +258,11 @@ int main() {
         mem.write(node, object, i);
     }
     const double seq_rate = static_cast<double>(ops) / elapsed_sec(start);
-
-    sim::SystemConfig config;
-    config.num_clients = 4;
-    config.num_objects = kObjects;
-    MixDriver driver(smoke ? 5000 : 40000, 0x7ead);
-    sim::ThreadedOptions threaded_options;
-    threaded_options.total_ops = smoke ? 5000 : 40000;
-    const auto threaded_start = std::chrono::steady_clock::now();
-    const sim::ThreadedStats threaded_stats =
-        sim::run_threaded(kind, config, threaded_options, driver);
-    const double threaded_rate =
-        static_cast<double>(threaded_stats.total_ops) /
-        elapsed_sec(threaded_start);
-
-    std::printf("baselines: sequential facade %.2fM ops/s, threaded "
-                "runtime (msg/node) %.2fK ops/s\n\n",
-                seq_rate / 1e6, threaded_rate / 1e3);
+    std::printf("baseline: sequential facade %.2fM ops/s\n\n",
+                seq_rate / 1e6);
     auto& row = report.add_result();
     row["phase"] = "baseline";
     row["sequential_ops_per_sec"] = seq_rate;
-    row["threaded_ops_per_sec"] = threaded_rate;
   }
 
   // -- shard sweep: the tentpole numbers ---------------------------------

@@ -11,17 +11,17 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# The concurrency label (threaded runtime, MPSC ring, sharded concurrent
-# runtime, protocol race suite, live-migration stress) once more under
-# ThreadSanitizer (skipped with DRSM_SKIP_TSAN=1, e.g. on hosts without
-# TSan runtime support).  migration_stress_test exercises the
+# The concurrency label (MPSC ring, sharded concurrent runtime, protocol
+# race suite, live-migration stress) once more under ThreadSanitizer
+# (skipped with DRSM_SKIP_TSAN=1, e.g. on hosts without TSan runtime
+# support).  migration_stress_test exercises the
 # drain/fence/switch/seed handoff and the OnlineController's ring + stats
 # pipeline with real client threads — the racy half of the migration
 # world (tests labeled both `migration` and `concurrency`).
 if [ "${DRSM_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan -G Ninja -DDRSM_SANITIZE=thread
-  cmake --build build-tsan --target threaded_test race_test \
-    mpsc_ring_test concurrent_runtime_test migration_stress_test
+  cmake --build build-tsan --target race_test mpsc_ring_test \
+    concurrent_runtime_test migration_stress_test
   ctest --test-dir build-tsan -L concurrency 2>&1 | tee -a test_output.txt
 fi
 
@@ -54,14 +54,17 @@ fi
 # The zero-allocation event engine once more under AddressSanitizer +
 # UndefinedBehaviorSanitizer: the slab arena, free-list recycling and
 # ring-buffer index arithmetic are exactly the code a use-after-recycle
-# or wraparound bug would hide in.  Skipped with DRSM_SKIP_ASAN=1.
+# or wraparound bug would hide in.  concurrent_runtime_test adds the
+# shard failure path: an exception unwinding out of a protocol step on a
+# shard thread.  Skipped with DRSM_SKIP_ASAN=1.
 if [ "${DRSM_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan -G Ninja -DDRSM_SANITIZE=address,undefined
   cmake --build build-asan --target event_queue_test sim_determinism_test \
-    replication_test
+    replication_test concurrent_runtime_test
   ./build-asan/tests/event_queue_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/sim_determinism_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/replication_test 2>&1 | tee -a test_output.txt
+  ./build-asan/tests/concurrent_runtime_test 2>&1 | tee -a test_output.txt
 fi
 
 # Bench smoke stage: the microbenchmarks under a Release build.  A crash

@@ -170,7 +170,8 @@ class ConcurrentSharedMemory {
   /// publishes runtime.* metrics.  Idempotent; the destructor calls it.
   void stop();
 
-  /// True once any shard hit a protocol invariant failure.
+  /// True once a step on any shard threw; error() is then that
+  /// exception's text (safe to read from any thread once failed()).
   bool failed() const;
   std::string error() const;
 

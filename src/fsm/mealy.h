@@ -24,12 +24,10 @@ namespace drsm::fsm {
 ///
 /// Threading contract: a machine and the context it is handed are confined
 /// to one thread at a time.  Every runtime in the repo honors this by
-/// construction — the sequential/event runtimes are single-threaded, the
-/// threaded runtime gives each node's machines to that node's thread, and
+/// construction — the sequential/event runtimes are single-threaded, and
 /// the sharded concurrent runtime confines each object's machine set to
-/// its shard's event-loop thread.  Implementations of this interface that
-/// are shared across threads (e.g. ThreadedCtx) must make their own
-/// members safe; the machine itself never needs internal synchronization.
+/// its shard's event-loop thread — so the machine itself never needs
+/// internal synchronization.
 class MachineContext {
  public:
   virtual ~MachineContext() = default;

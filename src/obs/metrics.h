@@ -3,18 +3,18 @@
 //
 // The registry is the machine-readable counterpart of the tables the
 // benches print: EventSimulator publishes message/operation counters and
-// its latency and sequencer queue-depth sketches, ThreadedRuntime its cost
-// tallies, AccSolver its chain sizes, stationary-solver iteration counts
-// and wall-clock sketches.  Every distribution is an obs::Quantile (GK
-// sketch), so a reported percentile is always a value that occurred.  A
-// registry snapshot serializes to JSON (obs::JsonValue), which is what
-// BENCH_*.json embeds.
+// its latency and sequencer queue-depth sketches, ConcurrentSharedMemory
+// its runtime totals and latency sketch, AccSolver its chain sizes,
+// stationary-solver iteration counts and wall-clock sketches.  Every
+// distribution is an obs::Quantile (GK sketch), so a reported percentile
+// is always a value that occurred.  A registry snapshot serializes to
+// JSON (obs::JsonValue), which is what BENCH_*.json embeds.
 //
 // Instruments hand out stable references: registry.counter("x") returns
 // the same Counter& for the lifetime of the registry, so hot paths resolve
 // the name once and then pay a single increment per event.  The registry
 // is not thread-safe; concurrent runtimes aggregate locally and publish at
-// the end of the run (see sim/threaded.cc).
+// the end of the run (see ConcurrentSharedMemory::stop).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
-// Lock-free bounded MPSC channel: the one concurrency primitive shared by
-// every true-concurrency runtime in the repo (the threaded runtime's node
-// inboxes and the sharded runtime's request/grant rings).
+// Lock-free bounded MPSC channel: the one concurrency primitive behind the
+// real-thread code in the repo (the sharded runtime's request/grant rings
+// and the OnlineController's sample ring).
 //
 // Layout and algorithm are the bounded sequence-number ring (Vyukov's
 // design) specialized to a single consumer:
@@ -210,9 +210,7 @@ class MpscRing {
 };
 
 /// Mutex+deque reference queue with the same surface, for the channel
-/// differential tests and the before/after line in bench_runtime: this is
-/// the design the threaded runtime's per-node inboxes used before the
-/// MPSC ring replaced them.
+/// differential tests and bench_runtime's channel phase.
 template <class T>
 class MutexQueue {
  public:

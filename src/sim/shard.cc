@@ -89,6 +89,14 @@ void SequencerShard::stop() {
   stats_.ring_full_stalls = ring_.full_stalls();
 }
 
+void SequencerShard::fail(const std::exception& e) {
+  // Both callers skip work once failed_ is set, so this runs at most once.
+  // The text is written before the release store: a thread that observes
+  // failed() reads the whole of it.
+  error_ = e.what();
+  failed_.store(true, std::memory_order_release);
+}
+
 void SequencerShard::handle(const ShardRequest& request) {
   if (request.kind == ShardRequest::Kind::kMigrate) {
     SequentialRuntime& runtime = *runtimes_[local_index(request.object)];
@@ -100,9 +108,8 @@ void SequencerShard::handle(const ShardRequest& request) {
       ++stats_.migrations;
       stats_.cost += seed.cost;
       stats_.messages += seed.messages;
-    } catch (const Error& e) {
-      if (!failed_.exchange(true, std::memory_order_acq_rel))
-        error_ = e.what();
+    } catch (const std::exception& e) {
+      fail(e);
     }
     return;
   }
@@ -124,12 +131,11 @@ void SequencerShard::handle(const ShardRequest& request) {
                           : runtime.latest_version();
       stats_.cost += result.cost;
       stats_.messages += result.messages;
-    } catch (const Error& e) {
-      // Record the first failure but keep granting, so sessions blocked on
-      // their windows unwind instead of hanging; they re-raise from
+    } catch (const std::exception& e) {
+      // Keep granting after the failure, so sessions blocked on their
+      // windows unwind instead of hanging; they re-raise from
       // failed()/error() on drain.
-      if (!failed_.exchange(true, std::memory_order_acq_rel))
-        error_ = e.what();
+      fail(e);
     }
   }
   ++stats_.ops;

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,8 +114,10 @@ class SequencerShard {
     return ring_.try_push(request);
   }
 
-  /// A failed protocol invariant inside the loop (drsm::Error) stops the
-  /// shard and is reported here; empty = clean.
+  /// Any exception thrown by a step of the loop (a protocol invariant, a
+  /// tap, an allocation) stops the shard's execution and is reported here.
+  /// error() is the exception's text; it is complete and stable once
+  /// failed() is true, and only then may another thread read it.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   const std::string& error() const { return error_; }
 
@@ -144,6 +147,7 @@ class SequencerShard {
 
   void run();
   void handle(const ShardRequest& request);
+  void fail(const std::exception& e);
   std::size_t local_index(ObjectId object) const;
 
   Options options_;

@@ -9,16 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analytic/solver.h"
 #include "check/sharded_oracle.h"
 #include "dsm/dsm.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/trajectory.h"
+#include "workload/generator.h"
 
 namespace drsm::dsm {
 namespace {
@@ -351,6 +356,118 @@ TEST(ConcurrentRuntimeTest, SingleSessionMatchesSequentialSharedMemory) {
   }
 }
 
+// Window bursts against the i.i.d. model.  One thread drives all three
+// sessions into one shard, each node issuing its next W=64 operations in
+// turn, so the shard runs the operations in exactly the submitted order:
+// the run is deterministic and its cost is replay-exact.  The workload mix
+// is the model's, but the interleaving is not: a node's burst finds the
+// copy it left behind, so conflict misses (whose cost depends on what
+// other nodes did in between) nearly vanish for the ownership protocols,
+// while per-write fixed costs (WT-V's P+N+2 per write, paid whatever the
+// interleaving) survive intact.  Update protocols pay the same whatever
+// the order.
+TEST(ConcurrentRuntimeTest,
+     WindowBurstsCollapseConflictMissesButNotFixedWriteCosts) {
+  constexpr std::size_t kClients = 3;
+  constexpr std::size_t kWindow = 64;
+  sim::SystemConfig config;
+  config.num_clients = kClients;
+  config.costs.s = 100.0;
+  config.costs.p = 30.0;
+  const auto spec = workload::read_disturbance(0.4, 0.2, 2);
+  const workload::OperationTrace trace =
+      workload::GlobalSequenceGenerator(spec, 23).record(20000, kClients);
+  std::vector<std::vector<workload::TraceEntry>> programs(kClients);
+  for (const workload::TraceEntry& e : trace.entries)
+    programs[e.node].push_back(e);
+  analytic::AccSolver solver(config);
+
+  // Every cost is an integer, so these sums are exact in any order.
+  const auto replay_cost =
+      [&](ProtocolKind kind, const std::vector<workload::TraceEntry>& order) {
+        SharedMemory::Options options;
+        options.protocol = kind;
+        options.num_clients = kClients;
+        options.costs = config.costs;
+        SharedMemory reference(options);
+        for (const workload::TraceEntry& e : order) {
+          if (e.op == fsm::OpKind::kRead)
+            reference.read(e.node, e.object);
+          else
+            reference.write(e.node, e.object, 0);
+        }
+        return reference.total_cost();
+      };
+
+  for (const ProtocolKind kind : protocols::kAllProtocols) {
+    SCOPED_TRACE(protocols::to_string(kind));
+    check::ShardedOracle oracle(1);
+    ConcurrentSharedMemory::Options options;
+    options.protocol = kind;
+    options.num_clients = kClients;
+    options.num_objects = 1;
+    options.num_shards = 1;
+    options.costs = config.costs;
+    options.max_inflight = kWindow;
+    options.shard_taps = {oracle.tap(0)};
+    ConcurrentSharedMemory mem(options);
+
+    std::vector<workload::TraceEntry> submitted;
+    submitted.reserve(trace.entries.size());
+    std::vector<std::size_t> cursor(kClients, 0);
+    for (bool pending = true; pending;) {
+      pending = false;
+      for (std::size_t node = 0; node < kClients; ++node) {
+        auto& session = mem.session(static_cast<NodeId>(node));
+        const auto& program = programs[node];
+        const std::size_t end =
+            std::min(cursor[node] + kWindow, program.size());
+        for (; cursor[node] < end; ++cursor[node]) {
+          const workload::TraceEntry& e = program[cursor[node]];
+          if (e.op == fsm::OpKind::kRead)
+            session.read(e.object);
+          else
+            session.write_unique(e.object);
+          submitted.push_back(e);
+        }
+        pending |= cursor[node] < program.size();
+      }
+    }
+    for (std::size_t node = 0; node < kClients; ++node)
+      mem.session(static_cast<NodeId>(node)).drain();
+    mem.stop();
+    oracle.finish();
+
+    EXPECT_TRUE(oracle.ok());
+    for (const std::string& v : oracle.violations()) ADD_FAILURE() << v;
+    ASSERT_EQ(submitted.size(), trace.entries.size());
+    const ConcurrentSharedMemory::Stats stats = mem.stats();
+    EXPECT_EQ(stats.cost, replay_cost(kind, submitted));
+
+    const double acc = stats.acc();
+    const double model = solver.acc(kind, spec);
+    switch (kind) {
+      case ProtocolKind::kWriteOnce:
+      case ProtocolKind::kBerkeley:
+        // Bursts make almost every access an owner hit.
+        EXPECT_LT(acc, 0.2 * model) << "model " << model;
+        break;
+      case ProtocolKind::kWriteThroughV:
+        // Every write still costs P+N+2 = 35, and writes are 40% of the
+        // mix; only the read-miss share can collapse.
+        EXPECT_GT(acc, 0.4 * (config.costs.p + kClients + 2) * 0.9);
+        EXPECT_LT(acc, model);
+        break;
+      case ProtocolKind::kDragon:
+      case ProtocolKind::kFirefly:
+        EXPECT_EQ(stats.cost, replay_cost(kind, trace.entries));
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 TEST(ConcurrentRuntimeTest, PublishesRuntimeMetrics) {
   obs::MetricsRegistry metrics;
   ConcurrentSharedMemory::Options options;
@@ -420,6 +537,80 @@ TEST(ConcurrentRuntimeTest, RejectsUnsupportedOps) {
   EXPECT_THROW(mem.session(0).eject(0), Error);
   mem.session(0).drain();
   mem.stop();
+}
+
+/// Throws from the shard thread at its `fail_at`-th read: a failure inside
+/// a protocol step that is not a drsm::Error.
+class ThrowingTap final : public sim::CoherenceTap {
+ public:
+  explicit ThrowingTap(std::size_t fail_at) : fail_at_(fail_at) {}
+
+  void on_write_issue(double, NodeId, ObjectId, std::uint64_t) override {}
+  void on_commit(double, NodeId, ObjectId, std::uint64_t,
+                 std::uint64_t) override {}
+  void on_read(double, NodeId, ObjectId, std::uint64_t,
+               std::uint64_t) override {
+    if (++reads_ == fail_at_)
+      throw std::runtime_error("injected tap failure");
+  }
+
+ private:
+  std::size_t fail_at_;
+  std::size_t reads_ = 0;
+};
+
+// Any exception in a shard step ends as a drsm::Error in every session,
+// and a thread that sees failed() reads the whole error text.
+TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
+  constexpr std::size_t kSessions = 3;
+  constexpr std::size_t kObjects = 4;
+  // Each session sends half its reads to shard 0 (objects 0 and 2), 1000
+  // of them, so the tap's 500th read there comes before any session's
+  // last grant.
+  constexpr std::size_t kReads = 2000;
+  ThrowingTap tap(500);
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kIllinois;
+  options.num_clients = kSessions;
+  options.num_objects = kObjects;
+  options.num_shards = 2;
+  options.max_inflight = 16;
+  options.shard_taps = {&tap, nullptr};
+  ConcurrentSharedMemory mem(options);
+
+  std::atomic<bool> clients_done{false};
+  std::string watched;
+  std::thread watcher([&] {
+    while (!mem.failed() && !clients_done.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    watched = mem.error();
+  });
+  std::vector<std::string> drain_errors(kSessions);
+  {
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kSessions; ++c) {
+      clients.emplace_back([&mem, &drain_errors, c] {
+        auto& session = mem.session(static_cast<NodeId>(c));
+        for (std::size_t i = 0; i < kReads; ++i)
+          session.read(static_cast<ObjectId>(i % kObjects));
+        try {
+          session.drain();
+        } catch (const Error& e) {
+          drain_errors[c] = e.what();
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+  }
+  clients_done.store(true, std::memory_order_release);
+  watcher.join();
+  mem.stop();
+
+  EXPECT_EQ(watched, "injected tap failure");
+  for (std::size_t c = 0; c < kSessions; ++c)
+    EXPECT_NE(drain_errors[c].find("injected tap failure"),
+              std::string::npos)
+        << "session " << c << " drained with '" << drain_errors[c] << "'";
 }
 
 }  // namespace
