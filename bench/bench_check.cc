@@ -21,11 +21,14 @@
 //    for the full engine — to show the reduced engine closes it within
 //    the default state cap.
 //
-// "states" is a gated key in tools/drsm_bench_diff: the counts are
-// schedule-independent (see src/check/model_checker.h), so any drift in
-// a regenerated report is a real exploration change, not noise.
-// symmetry_hits is recorded but NOT gated — which orbit member wins the
-// visited-set insert race is the one thread-schedule-sensitive count.
+// "states" is a gated key in tools/drsm_bench_diff.  The counts are exact
+// at one worker thread, so a report generated under DRSM_THREADS=1 (as
+// BENCH_check.json is, and as the tool_drsm_bench_diff_check ctest runs)
+// drifts only on a real exploration change.  At more threads the
+// visited-set claim race picks the orbit representative POR's singleton
+// choice depends on, so counts can move between runs
+// (CheckConfig::threads).  symmetry_hits is recorded but not gated.
+// expand_ms and merge_ms split each row's wall time by BFS layer.
 //
 // Report: BENCH_check.json.
 #include <cstdio>
@@ -64,6 +67,8 @@ void fill_row(obs::JsonValue& row, protocols::ProtocolKind kind,
   row["symmetry_hits"] = r.symmetry_hits;
   row["states_per_sec"] = r.states_per_sec();
   row["wall_ms"] = r.wall_seconds * 1e3;
+  row["expand_ms"] = r.expand_seconds * 1e3;
+  row["merge_ms"] = r.merge_seconds * 1e3;
   row["ok"] = r.ok();
   DRSM_CHECK(!r.hit_state_cap, "bench configuration hit the state cap");
 }

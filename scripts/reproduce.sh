@@ -18,11 +18,16 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # drain/fence/switch/seed handoff and the OnlineController's ring + stats
 # pipeline with real client threads — the racy half of the migration
 # world (tests labeled both `migration` and `concurrency`).
+# ParallelCheckTest runs the model checker's per-depth expansion on 4
+# workers, each expansion task decoding successors into its own scratch
+# World.
 if [ "${DRSM_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan -G Ninja -DDRSM_SANITIZE=thread
   cmake --build build-tsan --target race_test mpsc_ring_test \
-    concurrent_runtime_test migration_stress_test
+    concurrent_runtime_test migration_stress_test check_reduction_test
   ctest --test-dir build-tsan -L concurrency 2>&1 | tee -a test_output.txt
+  ./build-tsan/tests/check_reduction_test --gtest_filter='ParallelCheckTest.*' \
+    2>&1 | tee -a test_output.txt
 fi
 
 # Verification stage: exhaustive model check of all eight protocols plus
@@ -56,15 +61,18 @@ fi
 # ring-buffer index arithmetic are exactly the code a use-after-recycle
 # or wraparound bug would hide in.  concurrent_runtime_test adds the
 # shard failure path: an exception unwinding out of a protocol step on a
-# shard thread.  Skipped with DRSM_SKIP_ASAN=1.
+# shard thread.  check_reduction_test adds the model checker's reused
+# scratch Worlds, where a stale or freed machine left behind by an
+# in-place decode would hide.  Skipped with DRSM_SKIP_ASAN=1.
 if [ "${DRSM_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan -G Ninja -DDRSM_SANITIZE=address,undefined
   cmake --build build-asan --target event_queue_test sim_determinism_test \
-    replication_test concurrent_runtime_test
+    replication_test concurrent_runtime_test check_reduction_test
   ./build-asan/tests/event_queue_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/sim_determinism_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/replication_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/concurrent_runtime_test 2>&1 | tee -a test_output.txt
+  ./build-asan/tests/check_reduction_test 2>&1 | tee -a test_output.txt
 fi
 
 # Bench smoke stage: the microbenchmarks under a Release build.  A crash

@@ -6,11 +6,16 @@
 //  * check_reduced — the scaled engine: symmetry-canonicalized 64-bit
 //    keys in a lock-free visited set, pure-absorption partial-order
 //    reduction, and per-depth parallel expansion over exec::ThreadPool.
-//    Each BFS depth is a barrier: workers expand frontier entries into
-//    per-entry result buffers, then a serial in-order merge assigns tree
-//    nodes and picks the lowest-index violation, so reported counts and
-//    counterexamples are schedule-independent (the one exception,
-//    symmetry_hits, is documented at its field).
+//    Each BFS depth is a barrier: one task per thread takes frontier
+//    entries in order and expands them into per-entry result buffers,
+//    decoding each parent snapshot into the task's one scratch World
+//    rather than cloning it per successor; then a serial in-order merge
+//    assigns tree nodes and picks the lowest-index violation.  At one
+//    thread every count and counterexample is exact and reproducible.
+//    At more threads workers claim states as they expand them, so the
+//    claim race picks which member of a symmetry orbit is expanded, and
+//    POR's singleton choice depends on that representative: counts can
+//    differ between runs until claims move into the in-order merge.
 //
 // The state semantics both engines share — World, step application,
 // invariants, probes, canonicalization, the snapshot codec — live in
@@ -37,6 +42,12 @@ namespace {
 
 using fsm::Message;
 using fsm::OpKind;
+
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
 
 struct TreeNode {
   std::int64_t parent = -1;
@@ -208,6 +219,22 @@ struct SuccessorOut {
   std::unique_ptr<World> world;
 };
 
+/// One expansion task's reusable state: the World every successor is
+/// decoded into, and the buffers for candidates, keys and snapshots.
+struct Scratch {
+  World world;
+  std::vector<Candidate> candidates;
+  std::vector<std::uint8_t> bytes;
+};
+
+/// Decodes a frontier snapshot into `w`, in place once `w` is built.
+void decode(const CheckConfig& cfg, const std::vector<std::uint8_t>& bytes,
+            World& w) {
+  const bool ok =
+      deserialize_world(cfg, bytes.data(), bytes.data() + bytes.size(), w);
+  DRSM_CHECK(ok, "check: snapshot round-trip failed mid-search");
+}
+
 /// Everything a worker learned expanding one frontier entry.  Workers
 /// write only their own slot; the depth-barrier merge folds the slots in
 /// entry order.
@@ -238,7 +265,6 @@ CheckResult check_reduced(const CheckConfig& cfg) {
   const bool trusted = !cfg.machine_factory || cfg.trust_factory_encodings;
   const bool symmetry = cfg.symmetry_reduction && trusted &&
                         cfg.num_clients >= 2 && supports_relabeling(init);
-  const bool por = cfg.partial_order_reduction && trusted;
 
   std::vector<std::vector<NodeId>> perms;
   if (symmetry) perms = client_permutations(cfg.num_clients);
@@ -268,6 +294,9 @@ CheckResult check_reduced(const CheckConfig& cfg) {
                                 init_bytes.data() + init_bytes.size(),
                                 probe);
   }
+  // POR's dry run undoes itself through decode_state, so it needs the
+  // exact codec as well (trusted machines implement it).
+  const bool por = cfg.partial_order_reduction && trusted && compact;
 
   exec::ThreadPool pool(cfg.threads);
 
@@ -349,26 +378,27 @@ CheckResult check_reduced(const CheckConfig& cfg) {
     std::vector<EntryResult> results(width);
     std::atomic<bool> stop{false};
 
-    auto expand = [&](std::size_t i) {
+    auto expand = [&](std::size_t i, Scratch& scratch) {
       if (stop.load(std::memory_order_relaxed)) return;
       EntryResult& r = results[i];
       const Entry& entry = frontier[i];
 
-      World local;
+      // Every successor is built in s: the parent is decoded into it (or,
+      // without the compact codec, cloned) for each candidate; the first
+      // candidate reuses the decode that enumerated them.
+      World& s = scratch.world;
+      bool s_is_parent = false;
       if (compact) {
-        const bool ok = deserialize_world(
-            cfg, entry.bytes.data(),
-            entry.bytes.data() + entry.bytes.size(), local);
-        DRSM_CHECK(ok, "check: snapshot round-trip failed mid-search");
+        decode(cfg, entry.bytes, s);
+        s_is_parent = true;
       }
-      const World& w = compact ? local : *entry.world;
-
-      std::vector<Candidate> candidates;
-      enumerate_candidates(w, candidates);
+      std::vector<Candidate>& candidates = scratch.candidates;
+      enumerate_candidates(compact ? s : *entry.world, candidates);
       if (por && candidates.size() > 1) {
         for (const Candidate& cand : candidates) {
           if (cand.kind != CheckStep::Kind::kDeliver) continue;
-          if (!pure_absorption(w, cand.src, cand.node)) continue;
+          if (!pure_absorption(s, cand.src, cand.node, scratch.bytes))
+            continue;
           r.por_pruned += candidates.size() - 1;
           const Candidate chosen = cand;
           candidates.assign(1, chosen);
@@ -376,10 +406,15 @@ CheckResult check_reduced(const CheckConfig& cfg) {
         }
       }
 
-      std::vector<std::uint8_t> scratch;
       for (const Candidate& cand : candidates) {
         if (stop.load(std::memory_order_relaxed)) return;
-        World s = w.clone();
+        if (!s_is_parent) {
+          if (compact)
+            decode(cfg, entry.bytes, s);
+          else
+            s = entry.world->clone();
+        }
+        s_is_parent = false;
         StepOutcome out;
         CheckStep step;
         step.kind = cand.kind;
@@ -417,7 +452,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
           }
         }
         bool nontrivial = false;
-        const std::uint64_t h = state_hash(s, scratch, nontrivial);
+        const std::uint64_t h = state_hash(s, scratch.bytes, nontrivial);
         const StateStore::Claim claim = store.claim(h);
         if (claim == StateStore::Claim::kOverflow) {
           r.overflow = true;
@@ -430,13 +465,26 @@ CheckResult check_reduced(const CheckConfig& cfg) {
         }
         for (const auto& machine : s.machines)
           r.names.insert(machine->state_name());
+        SuccessorOut succ;
+        succ.step = step;
+        if (compact) {
+          serialize_world(s, scratch.bytes);
+          succ.bytes.assign(scratch.bytes.begin(), scratch.bytes.end());
+        }
         if (cfg.probe_quiescent_reads && channels_empty(s) &&
             !any_pending(s)) {
           const char* probe_inv = nullptr;
           std::string probe_detail;
           for (NodeId client = 0; client < cfg.num_clients; ++client) {
             ++r.probes;
-            probe_inv = probe_read(s, client, cfg, probe_detail);
+            if (compact) {
+              // Each probe runs on s itself, rebuilt from the snapshot
+              // after the first.
+              if (client > 0) decode(cfg, succ.bytes, s);
+              probe_inv = probe_read_in_place(s, client, cfg, probe_detail);
+            } else {
+              probe_inv = probe_read(s, client, cfg, probe_detail);
+            }
             if (probe_inv != nullptr) break;
           }
           if (probe_inv != nullptr) {
@@ -452,17 +500,26 @@ CheckResult check_reduced(const CheckConfig& cfg) {
           stop.store(true, std::memory_order_relaxed);
           // Keep this last successor: it was claimed before the cap hit.
         }
-        SuccessorOut succ;
-        succ.step = step;
-        if (compact)
-          serialize_world(s, succ.bytes);
-        else
-          succ.world = std::make_unique<World>(std::move(s));
+        if (!compact) succ.world = std::make_unique<World>(std::move(s));
         r.succs.push_back(std::move(succ));
         if (r.overflow) return;
       }
     };
-    pool.parallel_for(width, expand);
+    // One task per pool thread, each with its own Scratch, takes entries
+    // from a shared cursor in frontier order: the schedule of one task
+    // per entry, with one scratch World built per task and depth.
+    std::atomic<std::size_t> cursor{0};
+    const auto expand_start = Clock::now();
+    pool.parallel_for(pool.threads(), [&](std::size_t) {
+      Scratch scratch;
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= width) return;
+        expand(i, scratch);
+      }
+    });
+    const auto merge_start = Clock::now();
+    res.expand_seconds += seconds(expand_start, merge_start);
 
     // Serial in-order merge: fold counters, pick the lowest-index
     // violation, assign tree nodes and the next frontier.
@@ -496,6 +553,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
     }
     frontier = std::move(next);
     ++depth;
+    res.merge_seconds += seconds(merge_start, Clock::now());
   }
 
   res.states = store.size();
@@ -512,6 +570,8 @@ void publish_metrics(const CheckConfig& cfg, const CheckResult& res) {
   m.counter("check.por_pruned").inc(res.por_pruned);
   m.gauge("check.states_per_sec").set(res.states_per_sec());
   m.gauge("check.wall_ms").set(res.wall_seconds * 1e3);
+  m.gauge("check.expand_ms").set(res.expand_seconds * 1e3);
+  m.gauge("check.merge_ms").set(res.merge_seconds * 1e3);
   m.gauge("check.max_depth").set(static_cast<double>(res.max_depth));
 }
 
@@ -525,13 +585,11 @@ CheckResult check_protocol(const CheckConfig& cfg) {
   DRSM_CHECK(cfg.reads_per_client <= 255 && cfg.writes_per_client <= 255,
              "check: per-client budgets must fit a byte");
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   CheckResult res = cfg.expansion == CheckConfig::Expansion::kFullExpansion
                         ? check_full(cfg)
                         : check_reduced(cfg);
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  res.wall_seconds = seconds(start, Clock::now());
   publish_metrics(cfg, res);
   return res;
 }

@@ -43,8 +43,9 @@
 //    expanded alone instead of interleaved with every other action;
 //  * parallel frontier — each BFS depth is expanded by an
 //    exec::ThreadPool over a lock-free visited set of canonical keys
-//    (check/state_store.h), with successors merged deterministically at
-//    the depth barrier so counterexamples stay minimal;
+//    (check/state_store.h), with successors merged in frontier order at
+//    the depth barrier so counterexamples stay minimal (counts are exact
+//    at one thread; see CheckConfig::threads);
 //  * compact frontier — queued states are exact byte snapshots
 //    (serialize_world), not live machine graphs, cutting memory per
 //    state by an order of magnitude.
@@ -146,14 +147,18 @@ struct CheckConfig {
 
   /// Worker threads for frontier expansion: 0 picks
   /// exec::ThreadPool::default_threads() (DRSM_THREADS or hardware
-  /// concurrency).  All reported counts are schedule-independent; only
-  /// cap-truncated runs may vary in which states they kept.
+  /// concurrency).  At one thread every reported count is exact and
+  /// reproducible.  At more threads the visited-set claim race picks
+  /// which member of a symmetry orbit is expanded, and POR's singleton
+  /// choice depends on that representative, so counts can differ
+  /// between runs (Illinois at N=3 on 4 threads: 2152 to 2170 states,
+  /// 2169 at one thread) until claims move into the in-order merge.
   std::size_t threads = 0;
 
   /// When set, check_protocol publishes check.* counters and gauges here
   /// (states, transitions, symmetry_hits, por_pruned, states_per_sec,
-  /// wall_ms, max_depth).  Not written to concurrently: workers
-  /// aggregate locally and publish once at the end.
+  /// wall_ms, expand_ms, merge_ms, max_depth).  Not written to
+  /// concurrently: workers aggregate locally and publish once at the end.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -196,6 +201,14 @@ struct CheckResult {
   std::size_t threads_used = 1;
 
   double wall_seconds = 0.0;  // exploration wall time
+
+  /// The reduced engine's wall time split by BFS layer, summed over
+  /// depths: expand_seconds spans each depth's parallel expansion
+  /// (decode, step, invariants, canonicalization, claim, probes,
+  /// snapshot), merge_seconds its serial in-order merge.  Zero under
+  /// kFullExpansion.
+  double expand_seconds = 0.0;
+  double merge_seconds = 0.0;
   double states_per_sec() const {
     return wall_seconds > 0.0 ? static_cast<double>(states) / wall_seconds
                               : 0.0;

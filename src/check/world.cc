@@ -1,8 +1,6 @@
 #include "check/world.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
 
 #include "protocols/detail.h"
 #include "support/error.h"
@@ -19,6 +17,11 @@ using fsm::ParamPresence;
 using fsm::QueueKind;
 
 namespace pdetail = protocols::detail;
+
+/// True when `value` is a write that `node` issued.
+bool issued_by(const World& w, std::uint64_t value, NodeId node) {
+  return value >= 1 && value <= w.issued.size() && w.issued[value - 1] == node;
+}
 
 /// MachineContext over a World: sends queue into the channels, completions
 /// update the pending bookkeeping, and every oracle-relevant callback is
@@ -91,7 +94,10 @@ class Ctx final : public fsm::MachineContext {
   void disable_local_queue() override { w_.disabled[self_] = 1; }
   void enable_local_queue() override { w_.disabled[self_] = 0; }
 
-  std::uint64_t next_version() override { return ++w_.version_counter; }
+  std::uint64_t next_version() override {
+    w_.commit_log.push_back(0);  // the new version starts unbound
+    return ++w_.version_counter;
+  }
 
   void commit_write(std::uint64_t version, std::uint64_t value) override {
     if (version == 0 || version > w_.version_counter) {
@@ -103,7 +109,7 @@ class Ctx final : public fsm::MachineContext {
                               w_.version_counter)));
       return;
     }
-    if (w_.issued.find(value) == w_.issued.end()) {
+    if (value == 0 || value > w_.issued.size()) {
       out_.violate("serialization",
                    strfmt("version %llu committed value %llu that no "
                           "client issued",
@@ -111,15 +117,16 @@ class Ctx final : public fsm::MachineContext {
                           static_cast<unsigned long long>(value)));
       return;
     }
-    const auto [it, inserted] = w_.commit_log.emplace(version, value);
-    if (!inserted && it->second != value) {
+    std::uint64_t& bound = w_.commit_log[version - 1];
+    if (bound != 0 && bound != value) {
       out_.violate("serialization",
                    strfmt("version %llu rebound: value %llu then %llu",
                           static_cast<unsigned long long>(version),
-                          static_cast<unsigned long long>(it->second),
+                          static_cast<unsigned long long>(bound),
                           static_cast<unsigned long long>(value)));
       return;
     }
+    bound = value;
     if (version > w_.latest_version) {
       w_.latest_version = version;
       w_.latest_value = value;
@@ -143,28 +150,29 @@ class Ctx final : public fsm::MachineContext {
   /// — or the node's own issued write — and per-node versions never go
   /// backwards.
   void check_read(std::uint64_t value, std::uint64_t version) {
-    const auto own = w_.issued.find(value);
-    const bool own_write = own != w_.issued.end() && own->second == self_;
+    const bool own_write = issued_by(w_, value, self_);
     if (version == 0) {
       if (value != 0 && !own_write)
         out_.violate("read-oracle",
                      strfmt("node %u read unserialized value %llu", self_,
                             static_cast<unsigned long long>(value)));
     } else {
-      const auto it = w_.commit_log.find(version);
-      if (it == w_.commit_log.end()) {
+      const std::uint64_t bound = version <= w_.commit_log.size()
+                                      ? w_.commit_log[version - 1]
+                                      : 0;
+      if (bound == 0) {
         if (!own_write)
           out_.violate("read-oracle",
                        strfmt("node %u read never-serialized version %llu",
                               self_,
                               static_cast<unsigned long long>(version)));
-      } else if (it->second != value && !own_write) {
+      } else if (bound != value && !own_write) {
         out_.violate("read-oracle",
                      strfmt("node %u read (value %llu, version %llu) but "
                             "that version serialized value %llu",
                             self_, static_cast<unsigned long long>(value),
                             static_cast<unsigned long long>(version),
-                            static_cast<unsigned long long>(it->second)));
+                            static_cast<unsigned long long>(bound)));
       }
     }
     std::uint64_t& last = w_.last_read_version[self_];
@@ -299,7 +307,7 @@ void apply_issue(World& w, NodeId client, OpKind op, std::size_t capacity,
   std::uint64_t value = 0;
   if (op == OpKind::kWrite) {
     value = ++w.issue_counter;
-    w.issued.emplace(value, client);
+    w.issued.push_back(client);
     --w.writes_left[client];
   } else {
     --w.reads_left[client];
@@ -445,29 +453,27 @@ void serialize_world(const World& w, std::vector<std::uint8_t>& out) {
   pdetail::put_u64(out, w.issue_counter);
   pdetail::put_u64(out, w.latest_version);
   pdetail::put_u64(out, w.latest_value);
-  // Hash maps serialize in sorted order so equal Worlds give equal bytes.
-  pdetail::put_u32(out, static_cast<std::uint32_t>(w.commit_log.size()));
-  {
-    std::map<std::uint64_t, std::uint64_t> sorted(w.commit_log.begin(),
-                                                  w.commit_log.end());
-    for (const auto& [ver, val] : sorted) {
-      pdetail::put_u64(out, ver);
-      pdetail::put_u64(out, val);
-    }
+  // The bound (version, value) pairs, then the (value, writer) pairs, each
+  // in ascending order.
+  const auto bound = static_cast<std::uint32_t>(
+      w.commit_log.size() -
+      std::count(w.commit_log.begin(), w.commit_log.end(), 0));
+  pdetail::put_u32(out, bound);
+  for (std::size_t i = 0; i < w.commit_log.size(); ++i) {
+    if (w.commit_log[i] == 0) continue;
+    pdetail::put_u64(out, i + 1);
+    pdetail::put_u64(out, w.commit_log[i]);
   }
   pdetail::put_u32(out, static_cast<std::uint32_t>(w.issued.size()));
-  {
-    std::map<std::uint64_t, NodeId> sorted(w.issued.begin(), w.issued.end());
-    for (const auto& [val, writer] : sorted) {
-      pdetail::put_u64(out, val);
-      pdetail::put_u32(out, writer);
-    }
+  for (std::size_t i = 0; i < w.issued.size(); ++i) {
+    pdetail::put_u64(out, i + 1);
+    pdetail::put_u32(out, w.issued[i]);
   }
 }
 
 bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
                        const std::uint8_t* end, World& out) {
-  out = make_initial_world(cfg);
+  if (out.num_nodes() != cfg.num_clients + 1) out = make_initial_world(cfg);
   const std::size_t nodes = out.num_nodes();
   const std::size_t clients = nodes - 1;
   for (auto& machine : out.machines)
@@ -491,17 +497,20 @@ bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
   out.issue_counter = pdetail::take_u64(p, end);
   out.latest_version = pdetail::take_u64(p, end);
   out.latest_value = pdetail::take_u64(p, end);
+  out.commit_log.assign(out.version_counter, 0);
   const std::size_t commits = pdetail::take_u32(p, end);
   for (std::size_t i = 0; i < commits; ++i) {
     const std::uint64_t ver = pdetail::take_u64(p, end);
-    const std::uint64_t val = pdetail::take_u64(p, end);
-    out.commit_log.emplace(ver, val);
+    DRSM_CHECK(ver >= 1 && ver <= out.version_counter,
+               "deserialize_world: commit outside the drawn versions");
+    out.commit_log[ver - 1] = pdetail::take_u64(p, end);
   }
+  out.issued.clear();
   const std::size_t issues = pdetail::take_u32(p, end);
   for (std::size_t i = 0; i < issues; ++i) {
-    const std::uint64_t val = pdetail::take_u64(p, end);
-    const NodeId writer = pdetail::take_u32(p, end);
-    out.issued.emplace(val, writer);
+    DRSM_CHECK(pdetail::take_u64(p, end) == i + 1,
+               "deserialize_world: issued values are not dense");
+    out.issued.push_back(pdetail::take_u32(p, end));
   }
   DRSM_CHECK(p == end, "deserialize_world: trailing bytes");
   return true;
@@ -565,22 +574,22 @@ const char* check_state(const World& w, const CheckConfig& cfg,
     }
   }
   if (fully_spent(w)) {
-    for (std::uint64_t v = 1; v <= w.version_counter; ++v) {
-      if (w.commit_log.find(v) == w.commit_log.end()) {
-        detail = strfmt("terminal state: drawn version %llu was never "
-                        "bound to a value",
-                        static_cast<unsigned long long>(v));
+    for (std::size_t i = 0; i < w.commit_log.size(); ++i) {
+      if (w.commit_log[i] == 0) {
+        detail = strfmt("terminal state: drawn version %zu was never bound "
+                        "to a value",
+                        i + 1);
         return "serialization";
       }
     }
-    std::unordered_set<std::uint64_t> committed;
-    for (const auto& [version, value] : w.commit_log)
-      committed.insert(value);
-    for (const auto& [value, writer] : w.issued) {
-      if (committed.find(value) == committed.end()) {
-        detail = strfmt("terminal state: client %u's write (value %llu) "
+    // commit_write binds only issued values, so each is an index here.
+    std::vector<bool> committed(w.issued.size(), false);
+    for (const std::uint64_t value : w.commit_log) committed[value - 1] = true;
+    for (std::size_t i = 0; i < w.issued.size(); ++i) {
+      if (!committed[i]) {
+        detail = strfmt("terminal state: client %u's write (value %zu) "
                         "was never serialized",
-                        writer, static_cast<unsigned long long>(value));
+                        w.issued[i], i + 1);
         return "serialization";
       }
     }
@@ -590,8 +599,16 @@ const char* check_state(const World& w, const CheckConfig& cfg,
 
 const char* probe_read(const World& quiescent, NodeId client,
                        const CheckConfig& cfg, std::string& detail) {
-  const std::size_t capacity = cfg.channel_capacity;
   World w = quiescent.clone();
+  return probe_read_in_place(w, client, cfg, detail);
+}
+
+const char* probe_read_in_place(World& w, NodeId client,
+                                const CheckConfig& cfg, std::string& detail) {
+  const std::size_t capacity = cfg.channel_capacity;
+  // The quiescent state's latest write, before the probe's steps run.
+  const std::uint64_t latest_value = w.latest_value;
+  const std::uint64_t latest_version = w.latest_version;
   StepOutcome out;
   Message request;
   ++w.reads_left[client];  // apply_issue debits one read
@@ -625,38 +642,34 @@ const char* probe_read(const World& quiescent, NodeId client,
     detail = strfmt("read probe at client %u never returned data", client);
     return "read-probe";
   }
+  // A read issues no write, so w.issued is still the quiescent state's.
   if (protocols::convergence_level(cfg.protocol) ==
-      protocols::ConvergenceLevel::kWriterMayLag) {
-    for (const auto& [value, writer] : quiescent.issued)
-      if (writer == client) return nullptr;  // lagging writer: consistency
-                                             // was checked per delivery
-  }
-  const auto own = quiescent.issued.find(out.read_value);
-  const bool own_write =
-      own != quiescent.issued.end() && own->second == client;
-  if (out.read_value != quiescent.latest_value) {
+          protocols::ConvergenceLevel::kWriterMayLag &&
+      std::find(w.issued.begin(), w.issued.end(), client) != w.issued.end())
+    return nullptr;  // lagging writer: consistency was checked per delivery
+  const bool own_write = issued_by(w, out.read_value, client);
+  if (out.read_value != latest_value) {
     detail = strfmt("read probe at client %u returned value %llu, latest "
                     "serialized write is %llu (version %llu)",
                     client,
                     static_cast<unsigned long long>(out.read_value),
-                    static_cast<unsigned long long>(quiescent.latest_value),
-                    static_cast<unsigned long long>(
-                        quiescent.latest_version));
+                    static_cast<unsigned long long>(latest_value),
+                    static_cast<unsigned long long>(latest_version));
     return "read-probe";
   }
-  if (out.read_version != quiescent.latest_version && !own_write) {
+  if (out.read_version != latest_version && !own_write) {
     detail = strfmt("read probe at client %u returned version %llu, "
                     "latest is %llu",
                     client,
                     static_cast<unsigned long long>(out.read_version),
-                    static_cast<unsigned long long>(
-                        quiescent.latest_version));
+                    static_cast<unsigned long long>(latest_version));
     return "read-probe";
   }
   return nullptr;
 }
 
-bool pure_absorption(const World& w, NodeId src, NodeId dst) {
+bool pure_absorption(World& w, NodeId src, NodeId dst,
+                     std::vector<std::uint8_t>& scratch) {
   const auto& channel = w.channels[src * w.num_nodes() + dst];
   DRSM_CHECK(!channel.empty(), "pure_absorption on an empty channel");
   const Message& msg = channel.front();
@@ -666,19 +679,29 @@ bool pure_absorption(const World& w, NodeId src, NodeId dst) {
   if (msg.token.type != MsgType::kInval &&
       msg.token.type != MsgType::kUpdate)
     return false;
-  std::vector<std::uint8_t> before;
-  w.machines[dst]->encode_state(before);
-  auto probe = w.machines[dst]->clone();
+  fsm::ProtocolMachine& machine = *w.machines[dst];
+  scratch.clear();
+  machine.encode_state(scratch);
+  const std::size_t before = scratch.size();
   PurityCtx ctx(dst, w.num_clients(), w.version_counter);
+  bool pure = true;
   try {
-    probe->on_message(ctx, msg);
+    machine.on_message(ctx, msg);
   } catch (const drsm::Error&) {
-    return false;  // defined-transition violation: the real run must see it
+    pure = false;  // defined-transition violation: the real run must see it
   }
-  if (ctx.impure()) return false;
-  std::vector<std::uint8_t> after;
-  probe->encode_state(after);
-  return before == after;
+  pure = pure && !ctx.impure();
+  if (pure) {
+    machine.encode_state(scratch);
+    pure = std::equal(scratch.begin(), scratch.begin() + before,
+                      scratch.begin() + before, scratch.end());
+  }
+  // Undo the dry run: decode_state overwrites every field it touched.
+  const std::uint8_t* p = scratch.data();
+  const bool restored = machine.decode_state(p, p + before);
+  DRSM_CHECK(restored && p == scratch.data() + before,
+             "pure_absorption: the machine cannot restore its state");
+  return pure;
 }
 
 }  // namespace drsm::check

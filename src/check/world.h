@@ -31,7 +31,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "check/model_checker.h"
@@ -43,7 +42,8 @@ namespace drsm::check {
 /// to `disabled` are behaviour-relevant and enter the dedup key; the rest
 /// is the path-local write history the serialization checks run against
 /// (values and versions never select a transition, by the same argument
-/// that keeps them out of ProtocolMachine::encode).
+/// that keeps them out of ProtocolMachine::encode).  Versions and values
+/// are both drawn densely from 1, so the history is two flat vectors.
 struct World {
   std::vector<std::unique_ptr<fsm::ProtocolMachine>> machines;  // node 0..N
   std::vector<std::deque<fsm::Message>> channels;  // src * (N+1) + dst
@@ -54,8 +54,11 @@ struct World {
 
   std::uint64_t version_counter = 0;
   std::uint64_t issue_counter = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> commit_log;  // ver -> val
-  std::unordered_map<std::uint64_t, NodeId> issued;  // value -> writer
+  // commit_log[version - 1] = the value bound to that version, 0 while
+  // unbound: one slot per drawn version.  Issued values start at 1, so 0
+  // is never a bound value.
+  std::vector<std::uint64_t> commit_log;
+  std::vector<NodeId> issued;  // issued[value - 1] = writer, one per write
   std::uint64_t latest_version = 0;
   std::uint64_t latest_value = 0;
   std::vector<std::uint64_t> last_read_version;  // per node
@@ -145,9 +148,13 @@ CanonicalHash canonical_hash(const World& w,
 /// World.
 void serialize_world(const World& w, std::vector<std::uint8_t>& out);
 
-/// Rebuilds a World from serialize_world bytes, constructing fresh
-/// machines under `cfg`.  Returns false when some machine does not
-/// support decode_state (the checker then falls back to cloned Worlds).
+/// Rebuilds a World from serialize_world bytes.  An empty `out` gets
+/// fresh machines under `cfg`; a World already built under the same `cfg`
+/// is decoded in place — its machines through decode_state, its channels
+/// and vectors cleared without giving back their storage — so a search
+/// can keep one scratch World per task instead of cloning per successor.
+/// Returns false when some machine does not support decode_state (the
+/// checker then falls back to cloned Worlds).
 bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
                        const std::uint8_t* end, World& out);
 
@@ -172,11 +179,22 @@ const char* check_state(const World& w, const CheckConfig& cfg,
 const char* probe_read(const World& quiescent, NodeId client,
                        const CheckConfig& cfg, std::string& detail);
 
+/// probe_read run on `quiescent` itself instead of a clone: the probe's
+/// read and drain are left applied, so the caller must rebuild the World
+/// (deserialize_world) before using it again.
+const char* probe_read_in_place(World& quiescent, NodeId client,
+                                const CheckConfig& cfg, std::string& detail);
+
 /// True iff delivering the head of channel src->dst is a *pure
-/// absorption*: a dry run on a clone of dst's machine fires no context
-/// callback and leaves the machine's exact state bytes unchanged.  Such a
-/// delivery is invisible to every invariant and commutes with every other
-/// enabled transition, so the search may expand it alone.
-bool pure_absorption(const World& w, NodeId src, NodeId dst);
+/// absorption*: a dry run of dst's own machine fires no context callback
+/// and leaves the machine's exact state bytes unchanged.  The dry run
+/// restores the machine from its encode_state bytes afterwards, so `w`
+/// is unchanged on return; it therefore needs machines that implement
+/// decode_state.  `scratch` holds those bytes and is reused between
+/// calls.  Such a delivery is invisible to every invariant and commutes
+/// with every other enabled transition, so the search may expand it
+/// alone.
+bool pure_absorption(World& w, NodeId src, NodeId dst,
+                     std::vector<std::uint8_t>& scratch);
 
 }  // namespace drsm::check

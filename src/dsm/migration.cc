@@ -154,6 +154,7 @@ class MigrationMachine final : public fsm::ProtocolMachine {
   }
 
   bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
+    const protocols::ProtocolKind live = epoch_protocol();
     phase_ = static_cast<Phase>(pdetail::take_u8(p, end));
     epoch_ = pdetail::take_u8(p, end);
     const std::uint8_t flags = pdetail::take_u8(p, end);
@@ -171,8 +172,13 @@ class MigrationMachine final : public fsm::ProtocolMachine {
     tokens_seen_ = pdetail::take_u32(p, end);
     snoop_value_ = pdetail::take_u64(p, end);
     snoop_version_ = pdetail::take_u64(p, end);
-    inner_ = protocols::make_machine(epoch_ != 0 ? opts_.to : opts_.from,
-                                     node_, opts_.num_clients);
+    flush_captured_ = false;
+    seed_done_ = false;
+    // The inner machine is reused when the decoded epoch runs the same
+    // protocol: its own decode_state overwrites every field.
+    if (epoch_protocol() != live)
+      inner_ = protocols::make_machine(epoch_protocol(), node_,
+                                       opts_.num_clients);
     return inner_->decode_state(p, end);
   }
 
@@ -264,6 +270,11 @@ class MigrationMachine final : public fsm::ProtocolMachine {
     fsm::MachineContext& out_;
   };
   friend class InnerCtx;
+
+  /// The protocol the inner machine runs in the current epoch.
+  protocols::ProtocolKind epoch_protocol() const {
+    return epoch_ != 0 ? opts_.to : opts_.from;
+  }
 
   std::uint32_t bit(NodeId node) const { return 1u << node; }
   std::uint32_t all_clients() const {

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "support/error.h"
+#include "support/text.h"
 
 namespace drsm::exec {
 
@@ -19,6 +20,9 @@ std::size_t ThreadPool::default_threads() {
 
 ThreadPool::ThreadPool(std::size_t threads)
     : threads_(threads == 0 ? default_threads() : threads) {
+  DRSM_CHECK(threads_ <= kMaxThreads,
+             strfmt("thread pool of %zu threads exceeds the limit of %zu",
+                    threads_, kMaxThreads));
   workers_.reserve(threads_ - 1);
   for (std::size_t i = 0; i + 1 < threads_; ++i)
     workers_.emplace_back([this] { worker_loop(); });

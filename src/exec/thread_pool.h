@@ -40,8 +40,12 @@ namespace drsm::exec {
 
 class ThreadPool {
  public:
+  /// Largest pool a constructor accepts.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// `threads` counts the calling thread: a pool of size T spawns T-1
-  /// workers.  0 means default_threads().
+  /// workers.  0 means default_threads().  Throws drsm::Error, before
+  /// spawning anything, when the size exceeds kMaxThreads.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -53,7 +57,8 @@ class ThreadPool {
 
   /// The pool size used when the constructor gets 0: the DRSM_THREADS
   /// environment variable when set to a positive integer, otherwise
-  /// std::thread::hardware_concurrency() (at least 1).
+  /// std::thread::hardware_concurrency() (at least 1).  The constructor
+  /// holds a DRSM_THREADS value to kMaxThreads like any other size.
   static std::size_t default_threads();
 
   /// Invokes body(i) exactly once for every i in [0, n) and returns when

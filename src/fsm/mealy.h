@@ -166,17 +166,26 @@ class ProtocolMachine {
   /// re-materialize a machine from bytes instead of holding live clones.
   /// Unlike encode_full(), which deliberately omits data (values, versions,
   /// buffered message payloads) because data never selects a transition,
-  /// encode_state() must capture *every* field: decode_state() on a
-  /// freshly constructed machine followed by any message sequence must be
-  /// indistinguishable from the original.  Defaults to encode_full() /
-  /// unsupported — correct only for machines with no data fields at all
-  /// (the hand-built test fragments); every real protocol overrides both.
+  /// encode_state() must capture *every* field: decode_state() followed by
+  /// any message sequence must be indistinguishable from the original.
+  /// Defaults to encode_full() / unsupported — correct only for machines
+  /// with no data fields at all (the hand-built test fragments); every
+  /// real protocol overrides both.
   virtual void encode_state(std::vector<std::uint8_t>& out) const {
     encode_full(out);
   }
 
   /// Inverse of encode_state().  Returns false when unsupported (the
   /// default); the checker then falls back to cloning whole machines.
+  ///
+  /// Decoded machines are reused: the checker decodes every successor
+  /// into machines that last held some other state, and its partial-order
+  /// dry run restores a machine by decoding its own earlier bytes.  So
+  /// decode_state must overwrite every field that the machine's behaviour
+  /// or its encode_state reads — clear deferred queues, reset transient
+  /// flags — never assume the defaults of a fresh machine
+  /// (check_reduction_test's ReusedDecodeTest holds every protocol and
+  /// migration wrapper to this).
   virtual bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) {
     (void)p;
     (void)end;

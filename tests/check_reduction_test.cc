@@ -10,7 +10,9 @@
 //    canonical hash, established by driving a random walk and a
 //    π-relabeled twin walk in lockstep;
 //  * snapshot codec — serialize_world/deserialize_world round-trips
-//    every field the search can observe;
+//    every field the search can observe, and decoding into a reused
+//    World (as the reduced engine does for every successor) gives the
+//    same World as decoding into a fresh one;
 //  * StateStore — first-claim semantics hold, including under
 //    concurrent claimers.
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "check/model_checker.h"
 #include "check/state_store.h"
 #include "check/world.h"
+#include "dsm/migration.h"
 #include "exec/thread_pool.h"
 #include "protocols/protocol.h"
 #include "support/rng.h"
@@ -278,6 +281,80 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, SnapshotCodecTest,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+/// Snapshots of the states random walks reach under `cfg`: each walk
+/// starts at the initial state and runs until no action is enabled, and
+/// walks repeat until they total at least `min_steps` steps.
+std::vector<std::vector<std::uint8_t>> walk_snapshots(const CheckConfig& cfg,
+                                                      std::uint64_t seed,
+                                                      int min_steps) {
+  Rng rng(seed);
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  int steps = 0;
+  while (steps < min_steps) {
+    World w = check::make_initial_world(cfg);
+    for (auto actions = enabled_actions(w); !actions.empty();
+         actions = enabled_actions(w)) {
+      apply_action(w, actions[rng.uniform_index(actions.size())],
+                   cfg.channel_capacity);
+      snapshots.emplace_back();
+      check::serialize_world(w, snapshots.back());
+      ++steps;
+    }
+  }
+  return snapshots;
+}
+
+/// Decodes every snapshot into one reused World and into a fresh one; the
+/// two must serialize to the same bytes and share the behaviour key.  A
+/// decode_state that leaves a field of the previous state behind shows up
+/// as a difference.
+void expect_reused_decode_matches_fresh(const CheckConfig& cfg,
+                                        const std::string& what) {
+  World reused;
+  std::vector<std::uint8_t> bytes_reused, bytes_fresh, key_reused, key_fresh;
+  for (const auto& snap : walk_snapshots(cfg, 9001, 200)) {
+    const std::uint8_t* end = snap.data() + snap.size();
+    ASSERT_TRUE(check::deserialize_world(cfg, snap.data(), end, reused));
+    World fresh;
+    ASSERT_TRUE(check::deserialize_world(cfg, snap.data(), end, fresh));
+    check::serialize_world(reused, bytes_reused);
+    check::serialize_world(fresh, bytes_fresh);
+    ASSERT_EQ(bytes_reused, bytes_fresh) << what;
+    ASSERT_EQ(bytes_reused, snap) << what;
+    check::encode_key(reused, key_reused);
+    check::encode_key(fresh, key_fresh);
+    ASSERT_EQ(key_reused, key_fresh) << what;
+  }
+}
+
+TEST(ReusedDecodeTest, MatchesFreshDecodeForEveryProtocolAtN3) {
+  for (const ProtocolKind kind : protocols::kAllProtocols) {
+    CheckConfig cfg;
+    cfg.protocol = kind;
+    cfg.num_clients = 3;
+    cfg.reads_per_client = 2;
+    cfg.writes_per_client = 2;
+    expect_reused_decode_matches_fresh(cfg, protocols::to_string(kind));
+  }
+}
+
+TEST(ReusedDecodeTest, MatchesFreshDecodeForEveryMigrationPairAtN2) {
+  for (const ProtocolKind from : protocols::kAllProtocols) {
+    for (const ProtocolKind to : protocols::kAllProtocols) {
+      dsm::MigrationWorldOptions options;
+      options.from = from;
+      options.to = to;
+      options.num_clients = 2;
+      CheckConfig cfg = dsm::migration_check_config(options);
+      cfg.reads_per_client = 2;
+      cfg.writes_per_client = 2;
+      expect_reused_decode_matches_fresh(
+          cfg, std::string(protocols::to_string(from)) + " -> " +
+                   protocols::to_string(to));
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // StateStore.

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "sim/event_sim.h"
+#include "support/error.h"
 #include "workload/generator.h"
 
 namespace drsm {
@@ -73,6 +75,17 @@ TEST(ThreadPool, DefaultThreadsHonoursEnvOverride) {
   EXPECT_EQ(exec::ThreadPool::default_threads(), 3u);
   ::unsetenv("DRSM_THREADS");
   EXPECT_GE(exec::ThreadPool::default_threads(), 1u);
+}
+
+TEST(ThreadPool, RejectsSizesAboveTheLimitBeforeSpawning) {
+  // Without the limit, both sizes abort in vector::reserve with
+  // std::length_error, which is not a drsm::Error.
+  EXPECT_THROW(exec::ThreadPool(std::numeric_limits<std::size_t>::max()),
+               Error);
+  EXPECT_THROW(exec::ThreadPool(std::size_t{1} << 62), Error);
+  ::setenv("DRSM_THREADS", "4611686018427387904", 1);
+  EXPECT_THROW(exec::ThreadPool(0), Error);
+  ::unsetenv("DRSM_THREADS");
 }
 
 // ---------------------------------------------------------------------------

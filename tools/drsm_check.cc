@@ -191,10 +191,11 @@ int main(int argc, char** argv) try {
       config.partial_order_reduction = args.por;
       const check::CheckResult result = check::check_protocol(config);
       std::printf("  %-13s-> %-13s %8zu states %9zu transitions depth "
-                  "%3zu %8.0f st/s  %s\n",
+                  "%3zu %8.0f st/s  expand %6.1f ms  merge %5.1f ms  %s\n",
                   protocols::to_string(from), protocols::to_string(to),
                   result.states, result.transitions, result.max_depth,
-                  result.states_per_sec(),
+                  result.states_per_sec(), result.expand_seconds * 1e3,
+                  result.merge_seconds * 1e3,
                   result.ok() ? (result.hit_state_cap ? "PARTIAL" : "ok")
                               : "VIOLATION");
       if (result.hit_state_cap) {
@@ -258,10 +259,11 @@ int main(int argc, char** argv) try {
                             : "VIOLATION");
     if (result.symmetry_applied || result.por_applied)
       std::printf("    reductions: %zu symmetry hits, %zu POR-pruned "
-                  "siblings, %zu threads%s\n",
+                  "siblings, %zu threads%s; expand %.1f ms, merge %.1f ms\n",
                   result.symmetry_hits, result.por_pruned,
                   result.threads_used,
-                  result.compact_frontier ? ", compact frontier" : "");
+                  result.compact_frontier ? ", compact frontier" : "",
+                  result.expand_seconds * 1e3, result.merge_seconds * 1e3);
     if (result.hit_state_cap) {
       capped = true;
       std::printf("    *** STATE CAP HIT: exploration stopped at %zu "
