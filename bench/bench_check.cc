@@ -17,9 +17,10 @@
 //    exact large-configuration reduction factor (the headline ">=10x"
 //    number, recorded under root["reduction"]).
 //
-//  * depth_n4: write-through at N=4 — a depth exhaustively out of reach
-//    for the full engine — to show the reduced engine closes it within
-//    the default state cap.
+//  * depth_n4: every protocol but Berkeley at N=4 — a depth exhaustively
+//    out of reach for the full engine — to show the reduced engine closes
+//    it within the default state cap.  Berkeley's 4.04M states take over
+//    a minute (docs/PERFORMANCE.md); drsm_check runs it.
 //
 // "states" is a gated key in tools/drsm_bench_diff.  The counts are exact
 // at one worker thread, so a report generated under DRSM_THREADS=1 (as
@@ -27,7 +28,8 @@
 // drifts only on a real exploration change.  At more threads the
 // visited-set claim race picks the orbit representative POR's singleton
 // choice depends on, so counts can move between runs
-// (CheckConfig::threads).  symmetry_hits is recorded but not gated.
+// (CheckConfig::threads).  symmetry_hits and relabelings (the relabeled
+// encodings canonicalization hashed) are recorded but not gated.
 // expand_ms and merge_ms split each row's wall time by BFS layer.
 //
 // Report: BENCH_check.json.
@@ -65,6 +67,7 @@ void fill_row(obs::JsonValue& row, protocols::ProtocolKind kind,
   row["probes"] = r.probes;
   row["por_pruned"] = r.por_pruned;
   row["symmetry_hits"] = r.symmetry_hits;
+  row["relabelings"] = r.relabelings;
   row["states_per_sec"] = r.states_per_sec();
   row["wall_ms"] = r.wall_seconds * 1e3;
   row["expand_ms"] = r.expand_seconds * 1e3;
@@ -146,11 +149,12 @@ int main() {
   // -- depth_n4: beyond the full engine's reach -------------------------
   report.phase("depth_n4");
   std::printf("\nN=4, reduced engine:\n");
-  const CheckResult wt4 =
-      check_protocol(base_config(protocols::ProtocolKind::kWriteThrough, 4));
-  fill_row(report.add_result(), protocols::ProtocolKind::kWriteThrough, 4,
-           "reduced", wt4);
-  print_row(protocols::ProtocolKind::kWriteThrough, wt4, 0.0);
+  for (protocols::ProtocolKind kind : protocols::kAllProtocols) {
+    if (kind == protocols::ProtocolKind::kBerkeley) continue;
+    const CheckResult r = check_protocol(base_config(kind, 4));
+    fill_row(report.add_result(), kind, 4, "reduced", r);
+    print_row(kind, r, 0.0);
+  }
 
   report.write();
   return 0;

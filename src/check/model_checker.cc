@@ -244,6 +244,7 @@ struct EntryResult {
   std::size_t truncated = 0;
   std::size_t por_pruned = 0;
   std::size_t symmetry_hits = 0;
+  std::size_t relabelings = 0;
   std::size_t probes = 0;
   std::set<const char*> names;  // state_name() literals of inserted states
   const char* invariant = nullptr;  // first violation, candidate order
@@ -266,21 +267,14 @@ CheckResult check_reduced(const CheckConfig& cfg) {
   const bool symmetry = cfg.symmetry_reduction && trusted &&
                         cfg.num_clients >= 2 && supports_relabeling(init);
 
-  std::vector<std::vector<NodeId>> perms;
-  if (symmetry) perms = client_permutations(cfg.num_clients);
-
   // Hash of the dedup key: canonical over the permutation orbit when
   // symmetry applies, plain behaviour key otherwise.
-  auto state_hash = [&](const World& w, std::vector<std::uint8_t>& scratch,
-                        bool& nontrivial) {
-    if (symmetry) {
-      const CanonicalHash ch = canonical_hash(w, perms, scratch);
-      nontrivial = ch.nontrivial;
-      return ch.hash;
-    }
-    nontrivial = false;
+  auto state_hash = [&](const World& w, std::vector<std::uint8_t>& scratch) {
+    if (symmetry) return canonical_hash(w, scratch);
     encode_key(w, scratch);
-    return hash_bytes(scratch.data(), scratch.size());
+    CanonicalHash plain;
+    plain.hash = hash_bytes(scratch.data(), scratch.size());
+    return plain;
   };
 
   // Compact frontier only when every machine round-trips through the
@@ -328,8 +322,9 @@ CheckResult check_reduced(const CheckConfig& cfg) {
 
   {
     std::vector<std::uint8_t> scratch;
-    bool nontrivial = false;
-    store.claim(state_hash(init, scratch, nontrivial));
+    const CanonicalHash key = state_hash(init, scratch);
+    res.relabelings += key.relabelings;
+    store.claim(key.hash);
   }
   tree.push_back({});
   record_names(init);
@@ -451,16 +446,16 @@ CheckResult check_reduced(const CheckConfig& cfg) {
             return;
           }
         }
-        bool nontrivial = false;
-        const std::uint64_t h = state_hash(s, scratch.bytes, nontrivial);
-        const StateStore::Claim claim = store.claim(h);
+        const CanonicalHash key = state_hash(s, scratch.bytes);
+        r.relabelings += key.relabelings;
+        const StateStore::Claim claim = store.claim(key.hash);
         if (claim == StateStore::Claim::kOverflow) {
           r.overflow = true;
           stop.store(true, std::memory_order_relaxed);
           return;
         }
         if (claim == StateStore::Claim::kPresent) {
-          if (nontrivial) ++r.symmetry_hits;
+          if (key.nontrivial) ++r.symmetry_hits;
           continue;
         }
         for (const auto& machine : s.machines)
@@ -531,6 +526,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
       res.truncated += r.truncated;
       res.por_pruned += r.por_pruned;
       res.symmetry_hits += r.symmetry_hits;
+      res.relabelings += r.relabelings;
       res.probes += r.probes;
       for (const char* name : r.names) names.insert(name);
       if (r.overflow) res.hit_state_cap = true;
@@ -567,6 +563,7 @@ void publish_metrics(const CheckConfig& cfg, const CheckResult& res) {
   m.counter("check.states").inc(res.states);
   m.counter("check.transitions").inc(res.transitions);
   m.counter("check.symmetry_hits").inc(res.symmetry_hits);
+  m.counter("check.relabelings").inc(res.relabelings);
   m.counter("check.por_pruned").inc(res.por_pruned);
   m.gauge("check.states_per_sec").set(res.states_per_sec());
   m.gauge("check.wall_ms").set(res.wall_seconds * 1e3);

@@ -156,9 +156,10 @@ struct CheckConfig {
   std::size_t threads = 0;
 
   /// When set, check_protocol publishes check.* counters and gauges here
-  /// (states, transitions, symmetry_hits, por_pruned, states_per_sec,
-  /// wall_ms, expand_ms, merge_ms, max_depth).  Not written to
-  /// concurrently: workers aggregate locally and publish once at the end.
+  /// (states, transitions, symmetry_hits, relabelings, por_pruned,
+  /// states_per_sec, wall_ms, expand_ms, merge_ms, max_depth).  Not
+  /// written to concurrently: workers aggregate locally and publish once
+  /// at the end.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -188,12 +189,18 @@ struct CheckResult {
   bool hit_state_cap = false;   // max_states reached: result is partial
   std::size_t max_depth = 0;    // BFS depth of the deepest visited state
 
-  /// Reduction accounting.  symmetry_hits counts dedups where a
-  /// non-identity permutation produced the canonical key — successors
-  /// that full expansion would have explored as distinct states.
-  /// por_pruned counts sibling actions skipped because a pure absorption
-  /// was expanded alone.
+  /// Reduction accounting.  symmetry_hits counts dedups of a successor
+  /// whose own labeling is not the one that produced its canonical key:
+  /// a state full expansion would have explored as distinct from the
+  /// representative.  It depends on which labeling the key picks inside
+  /// an orbit, so it moves whenever the key's encoding or hash changes,
+  /// though states and transitions do not.  relabelings counts the
+  /// relabeled encodings canonical_hash hashed (check/world.h): about one
+  /// per canonicalized state, N! if every client tied on its signature,
+  /// 0 without symmetry reduction.  por_pruned counts sibling actions
+  /// skipped because a pure absorption was expanded alone.
   std::size_t symmetry_hits = 0;
+  std::size_t relabelings = 0;
   std::size_t por_pruned = 0;
   bool symmetry_applied = false;  // reduction actually ran (machines
   bool por_applied = false;       // support it, mode allows it)

@@ -1,6 +1,7 @@
 #include "check/world.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "protocols/detail.h"
 #include "support/error.h"
@@ -325,18 +326,6 @@ void apply_deliver(World& w, NodeId src, NodeId dst, std::size_t capacity,
   run_machine(w, dst, msg_out, capacity, out);
 }
 
-std::vector<std::vector<NodeId>> client_permutations(
-    std::size_t num_clients) {
-  std::vector<NodeId> perm(num_clients);
-  for (std::size_t c = 0; c < num_clients; ++c)
-    perm[c] = static_cast<NodeId>(c);
-  std::vector<std::vector<NodeId>> all;
-  do {
-    all.push_back(perm);
-  } while (std::next_permutation(perm.begin(), perm.end()));
-  return all;  // next_permutation from sorted start yields identity first
-}
-
 void encode_key(const World& w, std::vector<std::uint8_t>& key) {
   key.clear();
   for (const auto& machine : w.machines) machine->encode_full(key);
@@ -412,23 +401,81 @@ bool supports_relabeling(const World& w) {
   return true;
 }
 
+namespace {
+
+/// What a client relabeling cannot change about `client`: its machine's
+/// state name, its issue bookkeeping and the token types queued between
+/// it and the home node, none of which names a client.
+std::uint64_t client_signature(const World& w, NodeId client) {
+  const char* name = w.machines[client]->state_name();
+  std::uint64_t h = hash_bytes(name, std::strlen(name));
+  const std::uint8_t bookkeeping[4] = {
+      w.pending[client], w.reads_left[client], w.writes_left[client],
+      w.disabled[client]};
+  h = hash_bytes(bookkeeping, sizeof bookkeeping, h);
+  const std::size_t nodes = w.num_nodes();
+  const std::size_t home = nodes - 1;
+  for (const std::size_t channel :
+       {client * nodes + home, home * nodes + client}) {
+    h = hash_combine(h, w.channels[channel].size());
+    for (const Message& msg : w.channels[channel])
+      h = hash_combine(h, static_cast<std::uint64_t>(msg.token.type));
+  }
+  return h;
+}
+
+}  // namespace
+
 CanonicalHash canonical_hash(const World& w,
-                             const std::vector<std::vector<NodeId>>& perms,
                              std::vector<std::uint8_t>& scratch) {
+  const std::size_t clients = w.num_clients();
+  DRSM_CHECK(clients < 256, "canonical_hash: too many clients");
+  // order[j] is the client placed at new id j.  The sort is an insertion
+  // sort (stable, no allocation, and N is small): it starts every run of
+  // equal signatures in ascending id order, so the identity is the first
+  // arrangement whenever it is one at all.
+  std::uint64_t sig[256];
+  NodeId order[256];
+  for (NodeId c = 0; c < clients; ++c) {
+    sig[c] = client_signature(w, c);
+    NodeId j = c;
+    for (; j > 0 && sig[order[j - 1]] > sig[c]; --j) order[j] = order[j - 1];
+    order[j] = c;
+  }
+  bool identity_sorted = true;
+  for (NodeId j = 0; j < clients; ++j)
+    identity_sorted = identity_sorted && order[j] == j;
+
   CanonicalHash result;
-  std::uint64_t identity_hash = 0;
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    const bool ok = encode_key_relabeled(w, perms[i].data(), scratch);
+  std::uint64_t first_hash = 0;
+  NodeId map[256];
+  for (;;) {
+    for (NodeId j = 0; j < clients; ++j) map[order[j]] = j;
+    const bool ok = encode_key_relabeled(w, map, scratch);
     DRSM_CHECK(ok, "canonical_hash on a machine without relabeling support");
     const std::uint64_t h = hash_bytes(scratch.data(), scratch.size());
-    if (i == 0) {
-      identity_hash = h;
+    if (result.relabelings++ == 0) {
+      first_hash = h;
       result.hash = h;
     } else if (h < result.hash) {
       result.hash = h;
     }
+    // Next arrangement: an odometer whose digits are the runs of equal
+    // signatures.  next_permutation steps one run and, once the run has
+    // been through all its orders, returns it to ascending and carries.
+    bool stepped = false;
+    for (std::size_t begin = 0; begin < clients && !stepped;) {
+      std::size_t end = begin + 1;
+      while (end < clients && sig[order[end]] == sig[order[begin]]) ++end;
+      stepped = std::next_permutation(order + begin, order + end);
+      begin = end;
+    }
+    if (!stepped) break;
   }
-  result.nontrivial = result.hash != identity_hash;
+  // Unless the identity is itself sorted, the winner is another labeling
+  // of the state: a permutation that maps a state to itself preserves
+  // every client's signature, so it cannot sort an unsorted labeling.
+  result.nontrivial = !identity_sorted || result.hash != first_hash;
   return result;
 }
 

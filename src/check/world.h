@@ -11,12 +11,23 @@
 // *Symmetry.*  Client nodes run identical machine code and differ only in
 // their id, and every invariant is invariant under client relabeling, so
 // two global states that differ by a client permutation are bisimilar.
-// canonical_hash() therefore keys a state by the minimum, over all client
-// permutations, of the hash of its relabeled behaviour encoding (machines
-// via fsm::ProtocolMachine::encode_relabeled, channels re-indexed, the
-// per-client issue bookkeeping permuted).  The representative that is
-// explored is always a genuinely reachable state (the first one seen), so
-// counterexample traces need no back-translation.
+// canonical_hash() keys a state by a minimum over relabelings of the hash
+// of its behaviour encoding (machines via
+// fsm::ProtocolMachine::encode_relabeled, channels re-indexed, the
+// per-client issue bookkeeping permuted), taken not over all N! client
+// permutations but over those that sort the clients by a signature
+// naming no client: the machine's state name, the issue bookkeeping, and
+// the token types queued between the client and the home node.
+// Renumbering the clients carries each signature along with its client,
+// so every state of an orbit (the states related by a client
+// permutation) has the same sorted labelings and the same key, and two
+// states with the same key share a relabeled encoding (barring a 64-bit
+// hash collision) and hence an orbit: the key splits the visited set
+// into the same classes as the all-permutation minimum.  Clients rarely
+// tie on a signature, so a state costs about one relabeled encoding
+// instead of N!.  The representative that is explored is always a
+// genuinely reachable state (the first one seen), so counterexample
+// traces need no back-translation.
 //
 // *Partial order.*  pure_absorption() detects deliveries that change
 // nothing at all: the receiving machine's exact state bytes are unchanged
@@ -105,10 +116,6 @@ void apply_deliver(World& w, NodeId src, NodeId dst, std::size_t capacity,
 // Dedup keys and symmetry canonicalization.
 // ---------------------------------------------------------------------------
 
-/// All num_clients! client relabelings, identity first, each an array
-/// mapping old client id -> new client id.  Built once per check run.
-std::vector<std::vector<NodeId>> client_permutations(std::size_t num_clients);
-
 /// Appends the behaviour key of `w` (the encode_full-based encoding the
 /// checker dedups on) to `key`.  Identity labeling; defined for every
 /// machine.
@@ -126,16 +133,17 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
 bool supports_relabeling(const World& w);
 
 struct CanonicalHash {
-  std::uint64_t hash = 0;  // min over the permutation orbit
-  bool nontrivial = false;  // a non-identity permutation beat the identity
+  std::uint64_t hash = 0;  // min over the signature-sorted labelings
+  bool nontrivial = false;  // a non-identity labeling produced the key
+  std::size_t relabelings = 0;  // relabeled encodings hashed
 };
 
-/// The canonical (permutation-invariant) 64-bit key of `w`: the minimum
-/// over `perms` of the hash of the relabeled behaviour key.  `scratch` is
-/// reused between calls to avoid per-state allocation.  `perms` must come
-/// from client_permutations() (identity first).
+/// The canonical (permutation-invariant) 64-bit key of `w`: the minimum,
+/// over every client relabeling that sorts the clients by their
+/// signatures (every order within each run of equal signatures), of the
+/// hash of the relabeled behaviour key.  Allocates nothing beyond
+/// `scratch`, which is reused between calls.
 CanonicalHash canonical_hash(const World& w,
-                             const std::vector<std::vector<NodeId>>& perms,
                              std::vector<std::uint8_t>& scratch);
 
 // ---------------------------------------------------------------------------

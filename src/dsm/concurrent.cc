@@ -118,6 +118,7 @@ std::size_t ConcurrentSharedMemory::Session::pump() {
         latency_sample_every_ > 0 ? now_ns() : 0;
     for (std::size_t i = 0; i < n; ++i) {
       const sim::ShardGrant& grant = pump_buf_[i];
+      if (grant.failed) continue;  // drain() raises the shard's error
       cost_ += grant.cost;
       if (grant.op == fsm::OpKind::kRead) last_read_value_ = grant.value;
       if (grant.issue_ns != 0 && end_ns > grant.issue_ns)

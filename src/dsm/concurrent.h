@@ -105,7 +105,10 @@ class ConcurrentSharedMemory {
     std::uint64_t read_sync(ObjectId object);
 
     /// Observer for completed operations, called from pump() on this
-    /// session's thread.  Empty = completions are only counted.
+    /// session's thread.  Empty = completions are only counted.  Grants
+    /// of operations a failed shard did not execute (ShardGrant::failed)
+    /// free their window slot without reaching the handler; drain()
+    /// raises the failure.
     using GrantHandler = std::function<void(const sim::ShardGrant&)>;
     void set_grant_handler(GrantHandler handler) {
       handler_ = std::move(handler);

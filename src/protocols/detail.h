@@ -44,9 +44,13 @@ inline std::uint32_t take_u32(const std::uint8_t*& p,
   return v;
 }
 
+/// Appends `v` little-endian, growing `out` once rather than per byte:
+/// every snapshot, state key and message encoding goes through these.
 inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  std::uint8_t bytes[4];
+  for (int i = 0; i < 4; ++i)
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  out.insert(out.end(), bytes, bytes + 4);
 }
 
 /// Appends the protocol-relevant part of a buffered message for
@@ -72,8 +76,10 @@ inline std::uint64_t take_u64(const std::uint8_t*& p,
 }
 
 inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i)
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  out.insert(out.end(), bytes, bytes + 8);
 }
 
 /// Applies a client relabeling to one NodeId: clients map through `map`,

@@ -119,7 +119,11 @@ void SequencerShard::handle(const ShardRequest& request) {
   grant.ticket = request.ticket;
   grant.issue_ns = request.issue_ns;
   SequentialRuntime& runtime = *runtimes_[local_index(request.object)];
-  if (!failed_.load(std::memory_order_relaxed)) {
+  // Keep granting after a failure, marked failed, so sessions blocked on
+  // their windows unwind instead of hanging; they re-raise from
+  // failed()/error() on drain.
+  grant.failed = failed_.load(std::memory_order_relaxed);
+  if (!grant.failed) {
     try {
       const OpResult result =
           runtime.execute(request.node, request.op, request.value);
@@ -132,10 +136,8 @@ void SequencerShard::handle(const ShardRequest& request) {
       stats_.cost += result.cost;
       stats_.messages += result.messages;
     } catch (const std::exception& e) {
-      // Keep granting after the failure, so sessions blocked on their
-      // windows unwind instead of hanging; they re-raise from
-      // failed()/error() on drain.
       fail(e);
+      grant.failed = true;
     }
   }
   ++stats_.ops;

@@ -47,12 +47,20 @@ inline std::size_t shard_of(ObjectId object, std::size_t num_shards) {
 struct ShardGrant {
   ObjectId object = 0;
   fsm::OpKind op = fsm::OpKind::kRead;
+  /// The shard had failed and did not execute the operation: the grant
+  /// only returns the request's window slot, and value, version and cost
+  /// are 0.  Session::pump retires it without calling the grant handler.
+  bool failed = false;
   std::uint64_t value = 0;    // read: value returned; write: value stored
   std::uint64_t version = 0;  // read: version returned; write: latest seq
   Cost cost = 0.0;            // communication cost of the operation
   std::uint64_t ticket = 0;   // session-local issue ticket
   std::uint64_t issue_ns = 0; // session's issue timestamp (latency)
 };
+
+// The failure flag sits in the padding after `op`: the grant ring's slot
+// stays six words.
+static_assert(sizeof(ShardGrant) == 48);
 
 using GrantRing = MpscRing<ShardGrant>;
 

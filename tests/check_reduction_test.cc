@@ -8,7 +8,10 @@
 //  * permutation equivariance — relabeling the clients of a reachable
 //    state permutes its behaviour key exactly and never changes its
 //    canonical hash, established by driving a random walk and a
-//    π-relabeled twin walk in lockstep;
+//    π-relabeled twin walk in lockstep for every client permutation π;
+//  * the canonical key's classes — on the same walks, two states share
+//    canonical_hash exactly when they share the minimum over *all* client
+//    permutations, the reference key kept here;
 //  * snapshot codec — serialize_world/deserialize_world round-trips
 //    every field the search can observe, and decoding into a reused
 //    World (as the reduced engine does for every successor) gives the
@@ -20,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "check/model_checker.h"
@@ -28,6 +32,7 @@
 #include "dsm/migration.h"
 #include "exec/thread_pool.h"
 #include "protocols/protocol.h"
+#include "support/hash.h"
 #include "support/rng.h"
 
 namespace drsm {
@@ -170,52 +175,160 @@ NodeId mapped(NodeId id, const std::vector<NodeId>& pi) {
   return id < pi.size() ? pi[id] : id;
 }
 
+CheckConfig protocol_walk_config(ProtocolKind kind, std::size_t clients) {
+  CheckConfig cfg;
+  cfg.protocol = kind;
+  cfg.num_clients = clients;
+  cfg.reads_per_client = 2;
+  cfg.writes_per_client = 2;
+  return cfg;
+}
+
+CheckConfig migration_walk_config(ProtocolKind from, ProtocolKind to) {
+  dsm::MigrationWorldOptions options;
+  options.from = from;
+  options.to = to;
+  options.num_clients = 2;
+  CheckConfig cfg = dsm::migration_check_config(options);
+  cfg.reads_per_client = 2;
+  cfg.writes_per_client = 2;
+  return cfg;
+}
+
+std::string pair_name(ProtocolKind from, ProtocolKind to) {
+  return std::string(protocols::to_string(from)) + " -> " +
+         protocols::to_string(to);
+}
+
+/// Every client permutation, identity first, each mapping old client id
+/// to new client id.
+std::vector<std::vector<NodeId>> client_permutations(std::size_t clients) {
+  std::vector<NodeId> perm(clients);
+  for (std::size_t c = 0; c < clients; ++c) perm[c] = static_cast<NodeId>(c);
+  std::vector<std::vector<NodeId>> all;
+  do {
+    all.push_back(perm);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return all;
+}
+
+/// The reference canonical key: the minimum over *all* client
+/// permutations of the relabeled behaviour key's hash.  canonical_hash
+/// must split states into exactly the classes this does.
+std::uint64_t all_permutation_key(const World& w,
+                                  const std::vector<std::vector<NodeId>>& perms,
+                                  std::vector<std::uint8_t>& scratch) {
+  std::uint64_t best = 0;
+  for (std::size_t i = 0; i < perms.size(); ++i) {
+    EXPECT_TRUE(check::encode_key_relabeled(w, perms[i].data(), scratch));
+    const std::uint64_t h = hash_bytes(scratch.data(), scratch.size());
+    if (i == 0 || h < best) best = h;
+  }
+  return best;
+}
+
+/// Random walks under `cfg` driven in lockstep with a twin walk whose
+/// every client id is relabeled by pi, for every client permutation pi.
+/// For each pi, walks start at the initial state, run until no action is
+/// enabled, and repeat until they total at least `min_steps` steps;
+/// `visit(a, b, pi)` sees the pair after every step.
+template <typename Visit>
+void twin_walks(const CheckConfig& cfg, int min_steps, Visit visit) {
+  const auto perms = client_permutations(cfg.num_clients);
+  for (std::size_t k = 0; k < perms.size(); ++k) {
+    const std::vector<NodeId>& pi = perms[k];
+    Rng rng(77 * (k + 1));
+    for (int steps = 0; steps < min_steps;) {
+      World a = check::make_initial_world(cfg);
+      World b = check::make_initial_world(cfg);
+      for (auto actions = enabled_actions(a); !actions.empty();
+           actions = enabled_actions(a)) {
+        const WalkAction act = actions[rng.uniform_index(actions.size())];
+        apply_action(a, act, cfg.channel_capacity);
+        WalkAction twin = act;
+        twin.node = mapped(act.node, pi);
+        twin.src = mapped(act.src, pi);
+        apply_action(b, twin, cfg.channel_capacity);
+        if (::testing::Test::HasFatalFailure()) return;
+        visit(a, b, pi);
+        if (::testing::Test::HasFatalFailure()) return;
+        ++steps;
+      }
+    }
+  }
+}
+
+/// Relabeling the clients of a reached state by pi permutes its behaviour
+/// key exactly and leaves its canonical key unchanged.  Returns the number
+/// of twin pairs checked.
+std::size_t expect_twins_share_keys(const CheckConfig& cfg, int min_steps,
+                                    const std::string& what) {
+  std::vector<std::uint8_t> key_a, key_b, scratch;
+  std::vector<NodeId> identity;
+  for (std::size_t c = 0; c < cfg.num_clients; ++c)
+    identity.push_back(static_cast<NodeId>(c));
+  std::size_t checked = 0;
+  twin_walks(cfg, min_steps, [&](const World& a, const World& b,
+                                 const std::vector<NodeId>& pi) {
+    // The twin's identity key is the original's key relabeled by pi...
+    ASSERT_TRUE(check::encode_key_relabeled(a, pi.data(), key_a));
+    ASSERT_TRUE(check::encode_key_relabeled(b, identity.data(), key_b));
+    ASSERT_EQ(key_a, key_b) << what;
+    // ...and both walks canonicalize to the same key at every step.
+    ASSERT_EQ(check::canonical_hash(a, scratch).hash,
+              check::canonical_hash(b, scratch).hash)
+        << what;
+    ++checked;
+  });
+  return checked;
+}
+
+/// Over every state the twin walks reach, two states share canonical_hash
+/// exactly when they share the all-permutation minimum.  Returns the
+/// number of classes the states fall into.
+std::size_t expect_key_partitions_like_all_permutations(
+    const CheckConfig& cfg, int min_steps, const std::string& what) {
+  const auto perms = client_permutations(cfg.num_clients);
+  std::unordered_map<std::uint64_t, std::uint64_t> reference_of;
+  std::unordered_map<std::uint64_t, std::uint64_t> key_of;
+  std::vector<std::uint8_t> scratch;
+  auto record = [&](const World& w) {
+    const std::uint64_t key = check::canonical_hash(w, scratch).hash;
+    const std::uint64_t reference = all_permutation_key(w, perms, scratch);
+    ASSERT_EQ(reference_of.emplace(key, reference).first->second, reference)
+        << what << ": one key covers two all-permutation classes";
+    ASSERT_EQ(key_of.emplace(reference, key).first->second, key)
+        << what << ": one all-permutation class has two keys";
+  };
+  twin_walks(cfg, min_steps,
+             [&](const World& a, const World& b, const std::vector<NodeId>&) {
+               record(a);
+               record(b);
+             });
+  return key_of.size();
+}
+
 class PermutationInvarianceTest
     : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(PermutationInvarianceTest, RelabeledTwinWalksShareCanonicalHashes) {
-  CheckConfig cfg;
-  cfg.protocol = GetParam();
-  cfg.num_clients = 3;
-  cfg.reads_per_client = 2;
-  cfg.writes_per_client = 2;
-  const auto perms = check::client_permutations(cfg.num_clients);
+  const std::string name = protocols::to_string(GetParam());
+  EXPECT_GT(expect_twins_share_keys(protocol_walk_config(GetParam(), 3), 300,
+                                    name + " N=3"),
+            0u);
+  EXPECT_GT(expect_twins_share_keys(protocol_walk_config(GetParam(), 4), 120,
+                                    name + " N=4"),
+            0u);
+}
 
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed * 77);
-    // A non-identity permutation pi, applied to every client id the twin
-    // walk touches.
-    const std::vector<NodeId>& pi = perms[1 + rng.uniform_index(
-                                        perms.size() - 1)];
-
-    World a = check::make_initial_world(cfg);
-    World b = check::make_initial_world(cfg);
-    std::vector<std::uint8_t> key_a, key_b, scratch;
-
-    for (int step = 0; step < 60; ++step) {
-      const auto actions = enabled_actions(a);
-      if (actions.empty()) break;
-      WalkAction act = actions[rng.uniform_index(actions.size())];
-      apply_action(a, act, cfg.channel_capacity);
-
-      WalkAction twin = act;
-      twin.node = mapped(act.node, pi);
-      twin.src = mapped(act.src, pi);
-      apply_action(b, twin, cfg.channel_capacity);
-
-      // The twin's identity key is the original's key relabeled by pi...
-      ASSERT_TRUE(check::encode_key_relabeled(a, pi.data(), key_a));
-      ASSERT_TRUE(check::encode_key_relabeled(b, perms[0].data(), key_b));
-      ASSERT_EQ(key_a, key_b) << "protocol "
-                              << protocols::to_string(GetParam())
-                              << " seed " << seed << " step " << step;
-
-      // ...and both walks canonicalize to the same hash at every step.
-      const auto ca = check::canonical_hash(a, perms, scratch);
-      const auto cb = check::canonical_hash(b, perms, scratch);
-      ASSERT_EQ(ca.hash, cb.hash);
-    }
-  }
+TEST_P(PermutationInvarianceTest, CanonicalKeyPartitionsLikeEveryPermutation) {
+  const std::string name = protocols::to_string(GetParam());
+  EXPECT_GT(expect_key_partitions_like_all_permutations(
+                protocol_walk_config(GetParam(), 3), 300, name + " N=3"),
+            0u);
+  EXPECT_GT(expect_key_partitions_like_all_permutations(
+                protocol_walk_config(GetParam(), 4), 120, name + " N=4"),
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, PermutationInvarianceTest,
@@ -227,6 +340,25 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, PermutationInvarianceTest,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+TEST(MigrationPermutationInvarianceTest,
+     RelabeledTwinWalksShareCanonicalHashesForEveryPairAtN2) {
+  for (const ProtocolKind from : protocols::kAllProtocols)
+    for (const ProtocolKind to : protocols::kAllProtocols)
+      EXPECT_GT(expect_twins_share_keys(migration_walk_config(from, to), 300,
+                                        pair_name(from, to)),
+                0u);
+}
+
+TEST(MigrationPermutationInvarianceTest,
+     CanonicalKeyPartitionsLikeEveryPermutationForEveryPairAtN2) {
+  for (const ProtocolKind from : protocols::kAllProtocols)
+    for (const ProtocolKind to : protocols::kAllProtocols)
+      EXPECT_GT(expect_key_partitions_like_all_permutations(
+                    migration_walk_config(from, to), 300,
+                    pair_name(from, to)),
+                0u);
+}
 
 // ---------------------------------------------------------------------------
 // Exact snapshot codec.
@@ -329,31 +461,16 @@ void expect_reused_decode_matches_fresh(const CheckConfig& cfg,
 }
 
 TEST(ReusedDecodeTest, MatchesFreshDecodeForEveryProtocolAtN3) {
-  for (const ProtocolKind kind : protocols::kAllProtocols) {
-    CheckConfig cfg;
-    cfg.protocol = kind;
-    cfg.num_clients = 3;
-    cfg.reads_per_client = 2;
-    cfg.writes_per_client = 2;
-    expect_reused_decode_matches_fresh(cfg, protocols::to_string(kind));
-  }
+  for (const ProtocolKind kind : protocols::kAllProtocols)
+    expect_reused_decode_matches_fresh(protocol_walk_config(kind, 3),
+                                       protocols::to_string(kind));
 }
 
 TEST(ReusedDecodeTest, MatchesFreshDecodeForEveryMigrationPairAtN2) {
-  for (const ProtocolKind from : protocols::kAllProtocols) {
-    for (const ProtocolKind to : protocols::kAllProtocols) {
-      dsm::MigrationWorldOptions options;
-      options.from = from;
-      options.to = to;
-      options.num_clients = 2;
-      CheckConfig cfg = dsm::migration_check_config(options);
-      cfg.reads_per_client = 2;
-      cfg.writes_per_client = 2;
-      expect_reused_decode_matches_fresh(
-          cfg, std::string(protocols::to_string(from)) + " -> " +
-                   protocols::to_string(to));
-    }
-  }
+  for (const ProtocolKind from : protocols::kAllProtocols)
+    for (const ProtocolKind to : protocols::kAllProtocols)
+      expect_reused_decode_matches_fresh(migration_walk_config(from, to),
+                                         pair_name(from, to));
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -560,7 +561,8 @@ class ThrowingTap final : public sim::CoherenceTap {
 };
 
 // Any exception in a shard step ends as a drsm::Error in every session,
-// and a thread that sees failed() reads the whole error text.
+// a thread that sees failed() reads the whole error text, and the grant
+// handlers see only the operations the shards executed.
 TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
   constexpr std::size_t kSessions = 3;
   constexpr std::size_t kObjects = 4;
@@ -586,11 +588,16 @@ TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
     watched = mem.error();
   });
   std::vector<std::string> drain_errors(kSessions);
+  // Grants each session's handler saw, per shard.
+  std::vector<std::array<std::size_t, 2>> handled(kSessions, {0, 0});
   {
     std::vector<std::thread> clients;
     for (std::size_t c = 0; c < kSessions; ++c) {
-      clients.emplace_back([&mem, &drain_errors, c] {
+      clients.emplace_back([&mem, &drain_errors, &handled, c] {
         auto& session = mem.session(static_cast<NodeId>(c));
+        session.set_grant_handler([&handled, c](const sim::ShardGrant& g) {
+          ++handled[c][sim::shard_of(g.object, 2)];
+        });
         for (std::size_t i = 0; i < kReads; ++i)
           session.read(static_cast<ObjectId>(i % kObjects));
         try {
@@ -611,6 +618,15 @@ TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
     EXPECT_NE(drain_errors[c].find("injected tap failure"),
               std::string::npos)
         << "session " << c << " drained with '" << drain_errors[c] << "'";
+  // Shard 1 executed every read sent to it; shard 0 the 499 reads before
+  // the one whose tap threw.  The grants it sent after failing carry no
+  // read and must not reach a handler.
+  std::size_t shard0 = 0;
+  for (std::size_t c = 0; c < kSessions; ++c) {
+    EXPECT_EQ(handled[c][1], kReads / 2) << "session " << c;
+    shard0 += handled[c][0];
+  }
+  EXPECT_EQ(shard0, 499u);
 }
 
 }  // namespace

@@ -258,9 +258,10 @@ int main(int argc, char** argv) try {
                 result.ok() ? (result.hit_state_cap ? "PARTIAL" : "ok")
                             : "VIOLATION");
     if (result.symmetry_applied || result.por_applied)
-      std::printf("    reductions: %zu symmetry hits, %zu POR-pruned "
-                  "siblings, %zu threads%s; expand %.1f ms, merge %.1f ms\n",
-                  result.symmetry_hits, result.por_pruned,
+      std::printf("    reductions: %zu symmetry hits, %zu relabelings, "
+                  "%zu POR-pruned siblings, %zu threads%s; expand %.1f ms, "
+                  "merge %.1f ms\n",
+                  result.symmetry_hits, result.relabelings, result.por_pruned,
                   result.threads_used,
                   result.compact_frontier ? ", compact frontier" : "",
                   result.expand_seconds * 1e3, result.merge_seconds * 1e3);
