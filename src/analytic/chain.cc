@@ -33,17 +33,11 @@ ProtocolChain::ProtocolChain(protocols::ProtocolKind kind,
   initial.encode_state(key);
   states_.intern(key);
 
-  // Probe whether every machine supports decode(): if so, one scratch
-  // runtime re-materialized from state keys replaces a deep runtime copy
-  // per transition.
+  // One scratch runtime, re-materialized from each state key, stands in
+  // for a deep runtime copy per transition: every protocol machine
+  // implements decode().
   SequentialRuntime scratch(initial);
-  const bool restorable = scratch.restore_state(states_.key(0));
-
-  std::deque<std::uint32_t> frontier;
-  std::vector<SequentialRuntime> snapshots;  // fallback path only
-  if (!restorable) snapshots.push_back(initial);
-  frontier.push_back(0);
-
+  std::deque<std::uint32_t> frontier{0};
   std::uint64_t value_counter = 0;
   while (!frontier.empty()) {
     const std::uint32_t s = frontier.front();
@@ -51,26 +45,11 @@ ProtocolChain::ProtocolChain(protocols::ProtocolKind kind,
     if (transitions_.size() <= s) transitions_.resize(s + 1);
     transitions_[s].resize(events_.size());
     for (std::size_t e = 0; e < events_.size(); ++e) {
-      sim::OpResult result;
-      if (restorable) {
-        DRSM_CHECK(scratch.restore_state(states_.key(s)),
-                   "chain: state key failed to restore");
-        result = scratch.execute(events_[e].node, events_[e].op,
-                                 ++value_counter);
-        scratch.encode_state(key);
-      } else {
-        SequentialRuntime next = snapshots[s];
-        result = next.execute(events_[e].node, events_[e].op,
-                              ++value_counter);
-        next.encode_state(key);
-        const auto [index, inserted] = states_.intern(key);
-        if (inserted) {
-          frontier.push_back(index);
-          snapshots.push_back(std::move(next));
-        }
-        transitions_[s][e] = Transition{index, result.cost};
-        continue;
-      }
+      DRSM_CHECK(scratch.restore_state(states_.key(s)),
+                 "chain: state key failed to restore");
+      const sim::OpResult result = scratch.execute(
+          events_[e].node, events_[e].op, ++value_counter);
+      scratch.encode_state(key);
       const auto [index, inserted] = states_.intern(key);
       if (inserted) frontier.push_back(index);
       transitions_[s][e] = Transition{index, result.cost};

@@ -26,8 +26,8 @@
 //
 // Enumeration avoids the original per-transition deep copy of the whole
 // runtime: states are re-materialized from their byte keys into a single
-// scratch runtime (ProtocolMachine::decode), falling back to snapshot
-// copies only for machines that do not support decoding.  Re-solves are
+// scratch runtime (ProtocolMachine::decode, which every protocol machine
+// implements).  Re-solves are
 // warm-started from the last stationary vector computed for the same
 // positive-probability event mask, which cuts power iterations on the
 // smooth parameter sweeps of the figure benchmarks.  Solving is

@@ -2,10 +2,12 @@
 //
 //  * check_full — the exact reference: serial BFS deduplicating on full
 //    state-key bytes, every enabled action expanded at every state.  This
-//    is the engine the reduction-soundness tests compare against.
+//    is the engine the reduction-soundness tests compare against, and
+//    the one that runs worlds whose machines lack the snapshot codec.
 //  * check_reduced — the scaled engine: symmetry-canonicalized 64-bit
 //    keys in a lock-free visited set, pure-absorption partial-order
-//    reduction, and per-depth parallel expansion over exec::ThreadPool.
+//    reduction, a frontier of exact snapshots, and per-depth parallel
+//    expansion over exec::ThreadPool.
 //    Each BFS depth is a barrier: one task per thread takes frontier
 //    entries in order and expands them into per-entry result buffers,
 //    decoding each parent snapshot into the task's one scratch World
@@ -93,10 +95,11 @@ void enumerate_candidates(const World& w, std::vector<Candidate>& out) {
 
 /// The exact serial reference engine (CheckConfig::Expansion::
 /// kFullExpansion): the pre-reduction checker, kept verbatim in
-/// behaviour — full-key dedup, no reductions, single thread.
-CheckResult check_full(const CheckConfig& cfg) {
-  World init = make_initial_world(cfg);
-
+/// behaviour — full-key dedup, no reductions, single thread, a cloned
+/// World per successor.  It also checks the worlds the reduced engine
+/// cannot hold (machines without the snapshot codec).
+CheckResult check_full(const CheckConfig& cfg, World init) {
+  const std::vector<NodeId> identity = identity_labeling(cfg.num_clients);
   CheckResult res;
   std::vector<TreeNode> tree;
   std::unordered_set<std::string> visited;
@@ -128,7 +131,7 @@ CheckResult check_full(const CheckConfig& cfg) {
   };
 
   std::vector<std::uint8_t> key;
-  encode_key(init, key);
+  encode_key(init, key, identity.data());
   visited.emplace(key.begin(), key.end());
   tree.push_back({});
   record_names(init);
@@ -183,7 +186,7 @@ CheckResult check_full(const CheckConfig& cfg) {
           break;
         }
       }
-      encode_key(s, key);
+      encode_key(s, key, identity.data());
       if (!visited.emplace(key.begin(), key.end()).second) continue;
       record_names(s);
       if (!probe_state(s, static_cast<std::int64_t>(index), &step)) break;
@@ -203,11 +206,10 @@ CheckResult check_full(const CheckConfig& cfg) {
   return res;
 }
 
-/// One queued frontier state: a byte snapshot when the machines support
-/// the exact codec, a live clone otherwise, plus its search-tree index.
+/// One queued frontier state: its exact byte snapshot and its
+/// search-tree index.
 struct Entry {
   std::vector<std::uint8_t> bytes;
-  std::unique_ptr<World> world;
   std::size_t tree = 0;
 };
 
@@ -216,7 +218,6 @@ struct Entry {
 struct SuccessorOut {
   CheckStep step;
   std::vector<std::uint8_t> bytes;
-  std::unique_ptr<World> world;
 };
 
 /// One expansion task's reusable state: the World every successor is
@@ -254,50 +255,30 @@ struct EntryResult {
 };
 
 /// The scaled engine: canonical-hash dedup (lock-free StateStore),
-/// pure-absorption POR, per-depth parallel expansion, compact frontier.
-CheckResult check_reduced(const CheckConfig& cfg) {
-  World init = make_initial_world(cfg);
-
-  // The reductions require trusted state encodings, so both are gated on
-  // the stock protocol machines (a machine_factory can inject fragments
-  // whose default encode_state/encode_relabeled would under-report).
-  // trust_factory_encodings lifts the gate for factories whose machines
-  // implement the full codec contract (the migration wrappers).
-  const bool trusted = !cfg.machine_factory || cfg.trust_factory_encodings;
-  const bool symmetry = cfg.symmetry_reduction && trusted &&
-                        cfg.num_clients >= 2 && supports_relabeling(init);
+/// pure-absorption POR, per-depth parallel expansion, a frontier of exact
+/// snapshots.  `init_bytes` is the snapshot of `init`, which
+/// check_protocol has seen round-trip.
+CheckResult check_reduced(const CheckConfig& cfg, const World& init,
+                          std::vector<std::uint8_t> init_bytes) {
+  const bool symmetry = cfg.symmetry_reduction && cfg.num_clients >= 2;
+  const bool por = cfg.partial_order_reduction;
+  const std::vector<NodeId> identity = identity_labeling(cfg.num_clients);
 
   // Hash of the dedup key: canonical over the permutation orbit when
   // symmetry applies, plain behaviour key otherwise.
   auto state_hash = [&](const World& w, std::vector<std::uint8_t>& scratch) {
     if (symmetry) return canonical_hash(w, scratch);
-    encode_key(w, scratch);
+    encode_key(w, scratch, identity.data());
     CanonicalHash plain;
     plain.hash = hash_bytes(scratch.data(), scratch.size());
     return plain;
   };
-
-  // Compact frontier only when every machine round-trips through the
-  // exact snapshot codec; otherwise fall back to live clones.
-  std::vector<std::uint8_t> init_bytes;
-  serialize_world(init, init_bytes);
-  bool compact;
-  {
-    World probe;
-    compact = deserialize_world(cfg, init_bytes.data(),
-                                init_bytes.data() + init_bytes.size(),
-                                probe);
-  }
-  // POR's dry run undoes itself through decode_state, so it needs the
-  // exact codec as well (trusted machines implement it).
-  const bool por = cfg.partial_order_reduction && trusted && compact;
 
   exec::ThreadPool pool(cfg.threads);
 
   CheckResult res;
   res.symmetry_applied = symmetry;
   res.por_applied = por;
-  res.compact_frontier = compact;
   res.threads_used = pool.threads();
 
   // Upper bound on successors of one state: every client issuing plus
@@ -348,14 +329,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
   }
 
   std::vector<Entry> frontier;
-  if (res.violations.empty()) {
-    Entry e;
-    if (compact)
-      e.bytes = std::move(init_bytes);
-    else
-      e.world = std::make_unique<World>(std::move(init));
-    frontier.push_back(std::move(e));
-  }
+  if (res.violations.empty()) frontier.push_back({std::move(init_bytes), 0});
 
   // When the pool is one thread, parallel_for degenerates to an in-order
   // inline loop, so a shared stop flag reproduces the reference engine's
@@ -378,17 +352,14 @@ CheckResult check_reduced(const CheckConfig& cfg) {
       EntryResult& r = results[i];
       const Entry& entry = frontier[i];
 
-      // Every successor is built in s: the parent is decoded into it (or,
-      // without the compact codec, cloned) for each candidate; the first
-      // candidate reuses the decode that enumerated them.
+      // Every successor is built in s: the parent is decoded into it for
+      // each candidate; the first candidate reuses the decode that
+      // enumerated them.
       World& s = scratch.world;
-      bool s_is_parent = false;
-      if (compact) {
-        decode(cfg, entry.bytes, s);
-        s_is_parent = true;
-      }
+      decode(cfg, entry.bytes, s);
+      bool s_is_parent = true;
       std::vector<Candidate>& candidates = scratch.candidates;
-      enumerate_candidates(compact ? s : *entry.world, candidates);
+      enumerate_candidates(s, candidates);
       if (por && candidates.size() > 1) {
         for (const Candidate& cand : candidates) {
           if (cand.kind != CheckStep::Kind::kDeliver) continue;
@@ -403,12 +374,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
 
       for (const Candidate& cand : candidates) {
         if (stop.load(std::memory_order_relaxed)) return;
-        if (!s_is_parent) {
-          if (compact)
-            decode(cfg, entry.bytes, s);
-          else
-            s = entry.world->clone();
-        }
+        if (!s_is_parent) decode(cfg, entry.bytes, s);
         s_is_parent = false;
         StepOutcome out;
         CheckStep step;
@@ -462,24 +428,18 @@ CheckResult check_reduced(const CheckConfig& cfg) {
           r.names.insert(machine->state_name());
         SuccessorOut succ;
         succ.step = step;
-        if (compact) {
-          serialize_world(s, scratch.bytes);
-          succ.bytes.assign(scratch.bytes.begin(), scratch.bytes.end());
-        }
+        serialize_world(s, scratch.bytes);
+        succ.bytes.assign(scratch.bytes.begin(), scratch.bytes.end());
         if (cfg.probe_quiescent_reads && channels_empty(s) &&
             !any_pending(s)) {
           const char* probe_inv = nullptr;
           std::string probe_detail;
           for (NodeId client = 0; client < cfg.num_clients; ++client) {
             ++r.probes;
-            if (compact) {
-              // Each probe runs on s itself, rebuilt from the snapshot
-              // after the first.
-              if (client > 0) decode(cfg, succ.bytes, s);
-              probe_inv = probe_read_in_place(s, client, cfg, probe_detail);
-            } else {
-              probe_inv = probe_read(s, client, cfg, probe_detail);
-            }
+            // Each probe runs on s itself, rebuilt from the snapshot after
+            // the first.
+            if (client > 0) decode(cfg, succ.bytes, s);
+            probe_inv = probe_read_in_place(s, client, cfg, probe_detail);
             if (probe_inv != nullptr) break;
           }
           if (probe_inv != nullptr) {
@@ -495,7 +455,6 @@ CheckResult check_reduced(const CheckConfig& cfg) {
           stop.store(true, std::memory_order_relaxed);
           // Keep this last successor: it was claimed before the cap hit.
         }
-        if (!compact) succ.world = std::make_unique<World>(std::move(s));
         r.succs.push_back(std::move(succ));
         if (r.overflow) return;
       }
@@ -540,11 +499,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
         tree.push_back({static_cast<std::int64_t>(frontier[i].tree),
                         succ.step, depth + 1});
         res.max_depth = std::max(res.max_depth, depth + 1);
-        Entry e;
-        e.bytes = std::move(succ.bytes);
-        e.world = std::move(succ.world);
-        e.tree = tree.size() - 1;
-        next.push_back(std::move(e));
+        next.push_back({std::move(succ.bytes), tree.size() - 1});
       }
     }
     frontier = std::move(next);
@@ -583,9 +538,22 @@ CheckResult check_protocol(const CheckConfig& cfg) {
              "check: per-client budgets must fit a byte");
 
   const auto start = Clock::now();
-  CheckResult res = cfg.expansion == CheckConfig::Expansion::kFullExpansion
-                        ? check_full(cfg)
-                        : check_reduced(cfg);
+  // The reduced engine stores its frontier as exact snapshots, and POR's
+  // dry run restores machines through decode_state, so it runs only
+  // worlds whose machines round-trip the codec: every protocol machine
+  // and migration wrapper.  Machines without decode_state (hand-built
+  // fragments, fsm::TableMachine) take the full expansion, which clones.
+  World init = make_initial_world(cfg);
+  std::vector<std::uint8_t> init_bytes;
+  bool reduced = cfg.expansion == CheckConfig::Expansion::kReduced;
+  if (reduced) {
+    serialize_world(init, init_bytes);
+    World probe;
+    reduced = deserialize_world(cfg, init_bytes.data(),
+                                init_bytes.data() + init_bytes.size(), probe);
+  }
+  CheckResult res = reduced ? check_reduced(cfg, init, std::move(init_bytes))
+                            : check_full(cfg, std::move(init));
   res.wall_seconds = seconds(start, Clock::now());
   publish_metrics(cfg, res);
   return res;

@@ -11,6 +11,13 @@
 // the machines' total-state encodings (fsm::ProtocolMachine::encode_full)
 // plus channel contents and per-client issue bookkeeping.
 //
+// Two engines run that search (see CheckConfig::expansion).  The reduced
+// engine, the default, runs every world whose machines implement the
+// exact snapshot codec (fsm::ProtocolMachine::encode_state/decode_state):
+// all eight protocols and the dsm migration wrappers.  Worlds of other
+// machines — hand-built fragments, fsm::TableMachine — are checked by the
+// full-expansion reference engine whatever the mode.
+//
 // Checked on every reachable state:
 //  * defined-transition — no machine ever rejects a delivered message
 //    (a DRSM_CHECK firing inside on_message is the protocol's "no
@@ -37,7 +44,7 @@
 // Scaling (see check/world.h for the correctness arguments):
 //  * symmetry reduction — states are deduplicated on a canonical key
 //    invariant under client permutation, shrinking the space by up to
-//    N! for the protocols whose machines support relabeled encodings;
+//    N!;
 //  * partial-order reduction — a delivery that provably changes nothing
 //    (a "pure absorption": redundant invalidation, stale update) is
 //    expanded alone instead of interleaved with every other action;
@@ -46,7 +53,7 @@
 //    (check/state_store.h), with successors merged in frontier order at
 //    the depth barrier so counterexamples stay minimal (counts are exact
 //    at one thread; see CheckConfig::threads);
-//  * compact frontier — queued states are exact byte snapshots
+//  * snapshot frontier — queued states are exact byte snapshots
 //    (serialize_world), not live machine graphs, cutting memory per
 //    state by an order of magnitude.
 // CheckConfig::Expansion::kFullExpansion turns the reductions off; the
@@ -110,17 +117,6 @@ struct CheckConfig {
   /// machine_factory machines with non-protocol state names).
   bool check_exclusivity = true;
 
-  /// Symmetry and partial-order reduction are normally disabled when a
-  /// machine_factory is set, because a hand-built fragment's default
-  /// encode_state/encode_relabeled would under-report its state.  Set this
-  /// when every factory-built machine implements the full codec contract
-  /// (encode_full, encode_relabeled, encode_state/decode_state) — e.g. the
-  /// dsm migration wrappers — so the reductions apply to factory worlds
-  /// too.  The reduction-soundness gate is still the kFullExpansion
-  /// cross-check; asserting reduced == full for the factory world is the
-  /// caller's responsibility (tests/migration_test.cc does).
-  bool trust_factory_encodings = false;
-
   /// Run the quiescent read-agreement probe (requires machines that
   /// complete reads; disable for hand-built fragments).
   bool probe_quiescent_reads = true;
@@ -128,19 +124,22 @@ struct CheckConfig {
   /// kReduced applies the reductions enabled below; kFullExpansion is the
   /// reference mode — every enabled action expanded at every state, full
   /// state keys, no reductions — that the soundness tests compare
-  /// against.
+  /// against.  kReduced needs machines that round-trip the snapshot codec
+  /// (fsm::ProtocolMachine::decode_state); a world whose machines do not
+  /// runs in kFullExpansion instead.  Asserting reduced == full for a
+  /// factory world is the caller's responsibility (tests/migration_test.cc
+  /// does it for the migration wrappers).
   enum class Expansion : std::uint8_t { kReduced, kFullExpansion };
   Expansion expansion = Expansion::kReduced;
 
-  /// Dedup on canonical (client-permutation-invariant) keys.  Applies
-  /// only when every machine supports encode_relabeled and no
-  /// machine_factory is set; CheckResult::symmetry_applied reports
-  /// whether it actually ran.
+  /// Dedup on canonical (client-permutation-invariant) keys.  Applies in
+  /// the reduced engine at two or more clients;
+  /// CheckResult::symmetry_applied reports whether it actually ran.
   bool symmetry_reduction = true;
 
   /// Expand provably-inert deliveries (pure absorptions) alone instead
-  /// of interleaving them with every other enabled action.  Same
-  /// machine_factory gate as symmetry; see CheckResult::por_applied.
+  /// of interleaving them with every other enabled action.  Applies in
+  /// the reduced engine; see CheckResult::por_applied.
   /// Note: counterexamples remain minimal within the reduced graph but
   /// can be longer than kFullExpansion's.
   bool partial_order_reduction = true;
@@ -202,9 +201,8 @@ struct CheckResult {
   std::size_t symmetry_hits = 0;
   std::size_t relabelings = 0;
   std::size_t por_pruned = 0;
-  bool symmetry_applied = false;  // reduction actually ran (machines
-  bool por_applied = false;       // support it, mode allows it)
-  bool compact_frontier = false;  // frontier held byte snapshots
+  bool symmetry_applied = false;  // reduction actually ran (reduced
+  bool por_applied = false;       // engine, option on)
   std::size_t threads_used = 1;
 
   double wall_seconds = 0.0;  // exploration wall time

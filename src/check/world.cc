@@ -326,30 +326,8 @@ void apply_deliver(World& w, NodeId src, NodeId dst, std::size_t capacity,
   run_machine(w, dst, msg_out, capacity, out);
 }
 
-void encode_key(const World& w, std::vector<std::uint8_t>& key) {
-  key.clear();
-  for (const auto& machine : w.machines) machine->encode_full(key);
-  for (const auto& channel : w.channels) {
-    key.push_back(static_cast<std::uint8_t>(channel.size()));
-    for (const Message& msg : channel) {
-      key.push_back(static_cast<std::uint8_t>(msg.token.type));
-      key.push_back(static_cast<std::uint8_t>(msg.token.initiator));
-      key.push_back(static_cast<std::uint8_t>(msg.token.object));
-      key.push_back(static_cast<std::uint8_t>(msg.token.params));
-    }
-  }
-  const std::size_t clients = w.num_nodes() - 1;
-  for (std::size_t c = 0; c < clients; ++c) {
-    key.push_back(w.pending[c]);
-    key.push_back(w.reads_left[c]);
-    key.push_back(w.writes_left[c]);
-  }
-  for (std::size_t n = 0; n < w.num_nodes(); ++n)
-    key.push_back(w.disabled[n]);
-}
-
-bool encode_key_relabeled(const World& w, const NodeId* map,
-                          std::vector<std::uint8_t>& key) {
+void encode_key(const World& w, std::vector<std::uint8_t>& key,
+                const NodeId* map) {
   const std::size_t nodes = w.num_nodes();
   const std::size_t clients = nodes - 1;
   // Extend to a full-node map (home is a fixed point) and invert it, so
@@ -362,8 +340,7 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
 
   key.clear();
   for (std::size_t j = 0; j < nodes; ++j)
-    if (!w.machines[inv[j]]->encode_relabeled(key, map, clients))
-      return false;
+    w.machines[inv[j]]->encode_full(key, map, clients);
   for (std::size_t new_src = 0; new_src < nodes; ++new_src) {
     for (std::size_t new_dst = 0; new_dst < nodes; ++new_dst) {
       const auto& channel = w.channels[inv[new_src] * nodes + inv[new_dst]];
@@ -371,7 +348,7 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
       for (const Message& msg : channel) {
         // sender is implied by the channel (Ctx::send stamps sender =
         // source node), and values/versions/hops never select a
-        // transition — same exclusions as encode_key.
+        // transition.
         key.push_back(static_cast<std::uint8_t>(msg.token.type));
         key.push_back(static_cast<std::uint8_t>(
             pdetail::map_node(msg.token.initiator, map, clients)));
@@ -387,18 +364,13 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
     key.push_back(w.writes_left[old]);
   }
   for (std::size_t n = 0; n < nodes; ++n) key.push_back(w.disabled[inv[n]]);
-  return true;
 }
 
-bool supports_relabeling(const World& w) {
-  std::vector<NodeId> identity(w.num_clients());
-  for (std::size_t c = 0; c < identity.size(); ++c)
+std::vector<NodeId> identity_labeling(std::size_t num_clients) {
+  std::vector<NodeId> identity(num_clients);
+  for (std::size_t c = 0; c < num_clients; ++c)
     identity[c] = static_cast<NodeId>(c);
-  std::vector<std::uint8_t> scratch;
-  for (const auto& machine : w.machines)
-    if (!machine->encode_relabeled(scratch, identity.data(), identity.size()))
-      return false;
-  return true;
+  return identity;
 }
 
 namespace {
@@ -451,8 +423,7 @@ CanonicalHash canonical_hash(const World& w,
   NodeId map[256];
   for (;;) {
     for (NodeId j = 0; j < clients; ++j) map[order[j]] = j;
-    const bool ok = encode_key_relabeled(w, map, scratch);
-    DRSM_CHECK(ok, "canonical_hash on a machine without relabeling support");
+    encode_key(w, scratch, map);
     const std::uint64_t h = hash_bytes(scratch.data(), scratch.size());
     if (result.relabelings++ == 0) {
       first_hash = h;

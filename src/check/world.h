@@ -1,10 +1,10 @@
 // The model checker's global-state representation and the operations the
 // search loop composes: step application, invariant checks, quiescent read
-// probes, symmetry canonicalization and the exact-snapshot codec behind
-// the compact frontier.  Split out of model_checker.cc so the search
-// strategy (serial reference vs reduced parallel BFS) and the state
-// semantics evolve independently, and so the reduction machinery is
-// testable on its own (tests/check_reduction_test.cc).
+// probes, symmetry canonicalization and the exact-snapshot codec the
+// reduced engine stores its frontier in.  Split out of model_checker.cc
+// so the search strategy (serial reference vs reduced parallel BFS) and
+// the state semantics evolve independently, and so the reduction
+// machinery is testable on its own (tests/check_reduction_test.cc).
 //
 // Reduction correctness in one paragraph each:
 //
@@ -12,9 +12,9 @@
 // their id, and every invariant is invariant under client relabeling, so
 // two global states that differ by a client permutation are bisimilar.
 // canonical_hash() keys a state by a minimum over relabelings of the hash
-// of its behaviour encoding (machines via
-// fsm::ProtocolMachine::encode_relabeled, channels re-indexed, the
-// per-client issue bookkeeping permuted), taken not over all N! client
+// of its behaviour encoding (machines via fsm::ProtocolMachine::
+// encode_full under the relabeling, channels re-indexed, the per-client
+// issue bookkeeping permuted), taken not over all N! client
 // permutations but over those that sort the clients by a signature
 // naming no client: the machine's state name, the issue bookkeeping, and
 // the token types queued between the client and the home node.
@@ -116,21 +116,18 @@ void apply_deliver(World& w, NodeId src, NodeId dst, std::size_t capacity,
 // Dedup keys and symmetry canonicalization.
 // ---------------------------------------------------------------------------
 
-/// Appends the behaviour key of `w` (the encode_full-based encoding the
-/// checker dedups on) to `key`.  Identity labeling; defined for every
-/// machine.
-void encode_key(const World& w, std::vector<std::uint8_t>& key);
+/// Replaces `key` with the behaviour key of `w` (the encode_full-based
+/// encoding the checker dedups on) under the client relabeling `map`
+/// (num_clients entries, old id -> new id): machines are emitted in new-id
+/// order, channels re-indexed, message initiators mapped, per-client
+/// bookkeeping permuted.  Under identity_labeling() it is the state's own
+/// key, defined for every machine.
+void encode_key(const World& w, std::vector<std::uint8_t>& key,
+                const NodeId* map);
 
-/// encode_key under the client relabeling `map`: machines are emitted in
-/// new-id order via encode_relabeled, channels re-indexed, message
-/// initiators mapped, per-client bookkeeping permuted.  Returns false if
-/// some machine does not support relabeling.
-bool encode_key_relabeled(const World& w, const NodeId* map,
-                          std::vector<std::uint8_t>& key);
-
-/// True when every machine in `w` supports encode_relabeled — the gate
-/// for enabling symmetry reduction.
-bool supports_relabeling(const World& w);
+/// The identity client labeling 0..num_clients-1, for encode_key callers
+/// that key a state as it is.
+std::vector<NodeId> identity_labeling(std::size_t num_clients);
 
 struct CanonicalHash {
   std::uint64_t hash = 0;  // min over the signature-sorted labelings
@@ -147,7 +144,7 @@ CanonicalHash canonical_hash(const World& w,
                              std::vector<std::uint8_t>& scratch);
 
 // ---------------------------------------------------------------------------
-// Exact snapshot codec (the compact frontier's storage format).
+// Exact snapshot codec (the reduced engine's frontier format).
 // ---------------------------------------------------------------------------
 
 /// Serializes *everything* — machines via encode_state, channels with full
@@ -161,8 +158,8 @@ void serialize_world(const World& w, std::vector<std::uint8_t>& out);
 /// is decoded in place — its machines through decode_state, its channels
 /// and vectors cleared without giving back their storage — so a search
 /// can keep one scratch World per task instead of cloning per successor.
-/// Returns false when some machine does not support decode_state (the
-/// checker then falls back to cloned Worlds).
+/// Returns false when some machine does not support decode_state
+/// (check_protocol then runs the full-expansion engine, which clones).
 bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
                        const std::uint8_t* end, World& out);
 

@@ -116,16 +116,20 @@ std::size_t ConcurrentSharedMemory::Session::pump() {
     if (n == 0) break;
     const std::uint64_t end_ns =
         latency_sample_every_ > 0 ? now_ns() : 0;
+    std::size_t unexecuted = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const sim::ShardGrant& grant = pump_buf_[i];
-      if (grant.failed) continue;  // drain() raises the shard's error
+      if (grant.failed) {  // drain() raises the shard's error
+        ++unexecuted;
+        continue;
+      }
       cost_ += grant.cost;
       if (grant.op == fsm::OpKind::kRead) last_read_value_ = grant.value;
       if (grant.issue_ns != 0 && end_ns > grant.issue_ns)
         latency_ns_.record(static_cast<double>(end_ns - grant.issue_ns));
       if (handler_) handler_(grant);
     }
-    completed_ += n;
+    completed_ += n - unexecuted;
     in_flight_ -= n;
     total += n;
   }

@@ -94,7 +94,8 @@ class ConcurrentSharedMemory {
     std::uint64_t eject(ObjectId object);
     std::uint64_t sync(ObjectId object);
 
-    /// Drains ready grants; returns how many completed.  Never blocks.
+    /// Drains ready grants; returns how many window slots they freed,
+    /// executed or not.  Never blocks.
     std::size_t pump();
     /// Blocks until every outstanding operation of this session has
     /// completed, then re-raises any shard failure.
@@ -116,6 +117,8 @@ class ConcurrentSharedMemory {
 
     std::size_t in_flight() const { return in_flight_; }
     std::uint64_t issued() const { return issued_; }
+    /// Operations executed and granted: an operation a failed shard did
+    /// not execute frees its slot but is not counted here.
     std::uint64_t completed() const { return completed_; }
     Cost cost() const { return cost_; }
     /// Backpressure events: full request ring (submit) / full window.

@@ -115,8 +115,12 @@ class MigrationMachine final : public fsm::ProtocolMachine {
     return copy;
   }
 
+  /// The behaviour key under the identity labeling (make_migration_machine
+  /// admits at most 8 clients).
   void encode(std::vector<std::uint8_t>& out) const override {
-    encode_full(out);
+    NodeId identity[8];
+    for (NodeId c = 0; c < opts_.num_clients; ++c) identity[c] = c;
+    encode_full(out, identity, opts_.num_clients);
   }
 
   /// Behaviour key.  The ack/token bitsets are emitted as *counts*: which
@@ -127,15 +131,10 @@ class MigrationMachine final : public fsm::ProtocolMachine {
   /// would keep apart.  The exact bitsets live in encode_state.  The snoop
   /// pair is data and stays out, except the one bit that selects the
   /// seed-vs-skip branch.
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    encode_wrapper(out);
-    inner_->encode_full(out);
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t num_clients) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                   std::size_t num_clients) const override {
     encode_wrapper(out);  // counts are already permutation-invariant
-    return inner_->encode_relabeled(out, map, num_clients);
+    inner_->encode_full(out, map, num_clients);
   }
 
   void encode_state(std::vector<std::uint8_t>& out) const override {
@@ -560,7 +559,6 @@ check::CheckConfig migration_check_config(
   cfg.machine_factory = [options](NodeId node) {
     return make_migration_machine(options, node);
   };
-  cfg.trust_factory_encodings = true;
   cfg.check_exclusivity = false;  // state names mix two protocols + MIG-*
   using PK = protocols::ProtocolKind;
   cfg.protocol = (options.from == PK::kDragon || options.to == PK::kDragon)

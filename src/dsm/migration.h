@@ -84,18 +84,18 @@ struct MigrationWorldOptions {
 };
 
 /// The migration wrapper machine for `node` (clients 0..N-1, home N).
-/// Implements the full model-checker codec contract (encode_full,
-/// encode_relabeled, encode_state/decode_state), so the reduced engine's
-/// symmetry + POR apply (CheckConfig::trust_factory_encodings).
+/// Implements the model checker's codec (a relabeling encode_full and
+/// the exact encode_state/decode_state pair), so check_protocol runs the
+/// migration world on the reduced engine with symmetry + POR.
 std::unique_ptr<fsm::ProtocolMachine> make_migration_machine(
     const MigrationWorldOptions& options, NodeId node);
 
 /// A CheckConfig exploring the migration world exhaustively: wrapper
-/// machines via the factory, trusted encodings, exclusivity off (state
-/// names mix two protocols plus the MIG-* phases).  The convergence
-/// exemption is Dragon's whenever either endpoint is Dragon, since both
-/// epochs' reads run under one probe policy.  Budgets and engine knobs
-/// keep their CheckConfig defaults; callers adjust as needed.
+/// machines via the factory, exclusivity off (state names mix two
+/// protocols plus the MIG-* phases).  The convergence exemption is
+/// Dragon's whenever either endpoint is Dragon, since both epochs' reads
+/// run under one probe policy.  Budgets and engine knobs keep their
+/// CheckConfig defaults; callers adjust as needed.
 check::CheckConfig migration_check_config(const MigrationWorldOptions& options);
 
 }  // namespace drsm::dsm

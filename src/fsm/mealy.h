@@ -128,55 +128,55 @@ class ProtocolMachine {
     return false;
   }
 
-  /// Total-state encoding: like encode(), but defined in *every* state,
-  /// including mid-flight (non-quiescent) ones, and covering the transient
-  /// fields encode() may omit (pending operations, deferred queues, recall
-  /// bookkeeping).  The model checker keys its explored global states on
-  /// this, so two machines with equal encodings must behave identically on
-  /// every future input.  Data values/versions stay excluded by the same
-  /// argument as in encode().  Defaults to encode() for machines with no
-  /// transient state.
-  virtual void encode_full(std::vector<std::uint8_t>& out) const {
+  /// Total-state behaviour key under a client relabeling: like encode(),
+  /// but defined in *every* state, including mid-flight (non-quiescent)
+  /// ones, and covering the transient fields encode() may omit (pending
+  /// operations, deferred queues, recall bookkeeping).  The model checker
+  /// keys its explored global states on this, so two machines with equal
+  /// encodings must behave identically on every future input.  Data
+  /// values/versions stay excluded by the same argument as in encode().
+  ///
+  /// Every NodeId embedded in the machine state (believed owners,
+  /// per-node bitsets, buffered-token initiators) is written relabeled
+  /// through `map`, which has `num_clients` entries sending client id i
+  /// to map[i]; the home node (id == num_clients) and kNoNode are fixed
+  /// points.  Under the identity map this is the machine's plain key.  Two
+  /// machines whose encodings agree under the same map must behave
+  /// identically when the whole system (peers, channels, in-flight
+  /// messages) is relabeled the same way — this is what lets the checker's
+  /// symmetry reduction collapse permutation-equivalent global states to
+  /// one canonical representative.  Defaults to encode(), correct for
+  /// machines with no transient state and no NodeId in their key.
+  virtual void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                           std::size_t num_clients) const {
+    (void)map;
+    (void)num_clients;
     encode(out);
   }
 
-  /// Role-aware variant of encode_full() for the model checker's symmetry
-  /// reduction: appends exactly the bytes encode_full() would, but with
-  /// every NodeId embedded in the machine state (believed owners, per-node
-  /// bitsets, buffered-token initiators) relabeled through `map`.  `map`
-  /// has `num_clients` entries sending client id i to map[i]; the home
-  /// node (id == num_clients) and kNoNode are fixed points and must be
-  /// passed through unchanged.  Two machines whose relabeled encodings
-  /// agree under the same map must behave identically when the whole
-  /// system (peers, channels, in-flight messages) is relabeled the same
-  /// way — this is what lets the checker collapse permutation-equivalent
-  /// global states to one canonical representative.  Returns false when
-  /// the machine does not support relabeling (the default); the checker
-  /// then disables symmetry reduction for the run.
-  virtual bool encode_relabeled(std::vector<std::uint8_t>& out,
-                                const NodeId* map,
-                                std::size_t num_clients) const {
-    (void)out;
-    (void)map;
-    (void)num_clients;
-    return false;
-  }
-
-  /// Exact-snapshot codec, the pair the checker's compact frontier uses to
-  /// re-materialize a machine from bytes instead of holding live clones.
-  /// Unlike encode_full(), which deliberately omits data (values, versions,
-  /// buffered message payloads) because data never selects a transition,
-  /// encode_state() must capture *every* field: decode_state() followed by
-  /// any message sequence must be indistinguishable from the original.
-  /// Defaults to encode_full() / unsupported — correct only for machines
-  /// with no data fields at all (the hand-built test fragments); every
-  /// real protocol overrides both.
+  /// Exact-snapshot codec, the pair the reduced checker's frontier uses
+  /// to re-materialize a machine from bytes instead of holding live
+  /// clones.  Unlike encode_full(), which deliberately omits data (values,
+  /// versions, buffered message payloads) because data never selects a
+  /// transition, encode_state() must capture *every* field:
+  /// decode_state() followed by any message sequence must be
+  /// indistinguishable from the original.  Defaults to encode() /
+  /// unsupported, as for the hand-built test fragments and
+  /// fsm::TableMachine; every real protocol overrides both.
+  ///
+  /// Implementing decode_state opts a machine into the reduced engine
+  /// (symmetry and partial-order reduction); machines without it are
+  /// checked by the full-expansion reference engine.  Such a machine's
+  /// encode_full must relabel every NodeId it emits:
+  /// check_reduction_test's PermutationInvarianceTest (every protocol)
+  /// and MigrationPermutationInvarianceTest (every migration pair) hold
+  /// the shipped machines to this.
   virtual void encode_state(std::vector<std::uint8_t>& out) const {
-    encode_full(out);
+    encode(out);
   }
 
   /// Inverse of encode_state().  Returns false when unsupported (the
-  /// default); the checker then falls back to cloning whole machines.
+  /// default); check_protocol then runs the full-expansion engine.
   ///
   /// Decoded machines are reused: the checker decodes every successor
   /// into machines that last held some other state, and its partial-order

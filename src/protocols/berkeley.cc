@@ -176,12 +176,6 @@ class BerkeleyNode final : public ProtocolMachine {
       out.push_back(static_cast<std::uint8_t>(owner_ >> shift));
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    encode(out);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(inval_raced_ ? 1 : 0);
-  }
-
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     state_ = static_cast<BerState>(detail::take_u8(p, end));
     owner_ = detail::take_u32(p, end);
@@ -190,13 +184,12 @@ class BerkeleyNode final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                   std::size_t n) const override {
     out.push_back(static_cast<std::uint8_t>(state_));
     detail::put_u32(out, detail::map_node(owner_, map, n));
     out.push_back(static_cast<std::uint8_t>(pending_));
     out.push_back(inval_raced_ ? 1 : 0);
-    return true;
   }
 
   void encode_state(std::vector<std::uint8_t>& out) const override {

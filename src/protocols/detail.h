@@ -53,19 +53,6 @@ inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.insert(out.end(), bytes, bytes + 4);
 }
 
-/// Appends the protocol-relevant part of a buffered message for
-/// ProtocolMachine::encode_full overrides: the token's type, initiator,
-/// object and parameter-presence mark.  Values/versions/hops are excluded
-/// by the same argument that lets encode() omit them — they never select a
-/// transition.
-inline void encode_token(std::vector<std::uint8_t>& out,
-                         const fsm::Message& msg) {
-  out.push_back(static_cast<std::uint8_t>(msg.token.type));
-  put_u32(out, msg.token.initiator);
-  put_u32(out, msg.token.object);
-  out.push_back(static_cast<std::uint8_t>(msg.token.params));
-}
-
 inline std::uint64_t take_u64(const std::uint8_t*& p,
                               const std::uint8_t* end) {
   DRSM_CHECK(end - p >= 8, "decode: truncated state key");
@@ -84,17 +71,20 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 
 /// Applies a client relabeling to one NodeId: clients map through `map`,
 /// the home node and kNoNode are fixed points (see
-/// fsm::ProtocolMachine::encode_relabeled).
+/// fsm::ProtocolMachine::encode_full).
 inline NodeId map_node(NodeId id, const NodeId* map,
                        std::size_t num_clients) {
   return id < num_clients ? map[id] : id;
 }
 
-/// encode_token under a client relabeling — the building block for
-/// encode_relabeled overrides with buffered tokens.
-inline void encode_token_relabeled(std::vector<std::uint8_t>& out,
-                                   const fsm::Message& msg, const NodeId* map,
-                                   std::size_t num_clients) {
+/// Appends the protocol-relevant part of a buffered message for
+/// ProtocolMachine::encode_full overrides: the token's type, its initiator
+/// relabeled through `map`, its object and parameter-presence mark.
+/// Values/versions/hops are excluded by the same argument that lets
+/// encode() omit them — they never select a transition.
+inline void encode_token(std::vector<std::uint8_t>& out,
+                         const fsm::Message& msg, const NodeId* map,
+                         std::size_t num_clients) {
   out.push_back(static_cast<std::uint8_t>(msg.token.type));
   put_u32(out, map_node(msg.token.initiator, map, num_clients));
   put_u32(out, msg.token.object);

@@ -56,12 +56,6 @@ class DragonClient final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
   void encode_state(std::vector<std::uint8_t>& out) const override {
     detail::put_u64(out, value_);
     detail::put_u64(out, version_);
@@ -125,12 +119,6 @@ class DragonSequencer final : public ProtocolMachine {
 
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 

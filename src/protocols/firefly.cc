@@ -59,7 +59,8 @@ class FireflyClient final : public ProtocolMachine {
     out.push_back(0);  // single state SHARED
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId*,
+                   std::size_t) const override {
     out.push_back(0);
     out.push_back(pending_ ? 1 : 0);
   }
@@ -67,12 +68,6 @@ class FireflyClient final : public ProtocolMachine {
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     detail::take_u8(p, end);
     pending_ = false;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 
@@ -150,12 +145,6 @@ class FireflySequencer final : public ProtocolMachine {
 
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 

@@ -16,7 +16,6 @@
 // survived the races in flight.
 #include "protocols/detail.h"
 
-
 #include "support/error.h"
 
 namespace drsm::protocols {
@@ -109,12 +108,6 @@ class IllinoisClient final : public ProtocolMachine {
 
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     state_ = static_cast<IllState>(detail::take_u8(p, end));
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 
@@ -228,27 +221,6 @@ class IllinoisSequencer final : public ProtocolMachine {
     if (bits != 0) out.push_back(acc);
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out, owner_ == kNoNode ? 0u : owner_);
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (std::size_t i = 0; i < valid_.size(); ++i) {
-      acc = static_cast<std::uint8_t>(acc | ((valid_[i] ? 1 : 0) << bits));
-      if (++bits == 8) {
-        out.push_back(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits != 0) out.push_back(acc);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(recall_kept_copy_ ? 1 : 0);
-    if (pending_ != Pending::kNone) detail::encode_token(out, pending_msg_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     const bool has_owner = detail::take_u8(p, end) != 0;
     const NodeId owner = detail::take_u32(p, end);
@@ -264,36 +236,27 @@ class IllinoisSequencer final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                   std::size_t n) const override {
     out.push_back(owner_ == kNoNode ? 0 : 1);
     detail::put_u32(out,
                     owner_ == kNoNode ? 0u : detail::map_node(owner_, map, n));
     // The per-client valid bitset indexes clients by id, so the bits
-    // themselves move under the relabeling: new bit map[i] = old bit i.
-    std::vector<bool> relabeled(valid_.size(), false);
-    for (std::size_t i = 0; i < valid_.size(); ++i)
-      if (valid_[i]) relabeled[detail::map_node(static_cast<NodeId>(i), map,
-                                                n)] = true;
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (std::size_t i = 0; i < relabeled.size(); ++i) {
-      acc = static_cast<std::uint8_t>(acc | ((relabeled[i] ? 1 : 0) << bits));
-      if (++bits == 8) {
-        out.push_back(acc);
-        acc = 0;
-        bits = 0;
-      }
+    // themselves move under the relabeling: new bit map[i] = old bit i,
+    // packed eight to a byte as encode() packs them.
+    const std::size_t base = out.size();
+    out.resize(base + (valid_.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < valid_.size(); ++i) {
+      if (!valid_[i]) continue;
+      const NodeId j = detail::map_node(static_cast<NodeId>(i), map, n);
+      out[base + j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
     }
-    if (bits != 0) out.push_back(acc);
     out.push_back(static_cast<std::uint8_t>(pending_));
     out.push_back(recall_kept_copy_ ? 1 : 0);
     if (pending_ != Pending::kNone)
-      detail::encode_token_relabeled(out, pending_msg_, map, n);
+      detail::encode_token(out, pending_msg_, map, n);
     out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
+    for (const Message& msg : deferred_) detail::encode_token(out, msg, map, n);
   }
 
   void encode_state(std::vector<std::uint8_t>& out) const override {

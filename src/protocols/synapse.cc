@@ -15,7 +15,6 @@
 //   2S+N+5  (adds RECALL + FLUSH(ui) + NACK + retry)   with a dirty owner.
 #include "protocols/detail.h"
 
-
 #include "support/error.h"
 
 namespace drsm::protocols {
@@ -98,7 +97,8 @@ class SynapseClient final : public ProtocolMachine {
     out.push_back(static_cast<std::uint8_t>(state_));
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId*,
+                   std::size_t) const override {
     out.push_back(static_cast<std::uint8_t>(state_));
     out.push_back(static_cast<std::uint8_t>(pending_));
   }
@@ -106,12 +106,6 @@ class SynapseClient final : public ProtocolMachine {
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     state_ = static_cast<SynState>(detail::take_u8(p, end));
     pending_ = PendingOp::kNone;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 
@@ -249,17 +243,6 @@ class SynapseSequencer final : public ProtocolMachine {
           (owner_ == kNoNode ? 0u : owner_) >> shift));
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out, owner_ == kNoNode ? 0u : owner_);
-    out.push_back(recalling_ ? 1 : 0);
-    out.push_back(nack_requester_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(local_op_));
-    if (recalling_) detail::encode_token(out, recall_cause_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     const bool has_owner = detail::take_u8(p, end) != 0;
     const NodeId owner = detail::take_u32(p, end);
@@ -271,20 +254,17 @@ class SynapseSequencer final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                   std::size_t n) const override {
     out.push_back(owner_ == kNoNode ? 0 : 1);
     detail::put_u32(out,
                     owner_ == kNoNode ? 0u : detail::map_node(owner_, map, n));
     out.push_back(recalling_ ? 1 : 0);
     out.push_back(nack_requester_ ? 1 : 0);
     out.push_back(static_cast<std::uint8_t>(local_op_));
-    if (recalling_)
-      detail::encode_token_relabeled(out, recall_cause_, map, n);
+    if (recalling_) detail::encode_token(out, recall_cause_, map, n);
     out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
+    for (const Message& msg : deferred_) detail::encode_token(out, msg, map, n);
   }
 
   void encode_state(std::vector<std::uint8_t>& out) const override {

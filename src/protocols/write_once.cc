@@ -15,7 +15,6 @@
 // FLUSH-C (still clean, cost 1).
 #include "protocols/detail.h"
 
-
 #include "support/error.h"
 
 namespace drsm::protocols {
@@ -141,12 +140,6 @@ class WoClient final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
   void encode_state(std::vector<std::uint8_t>& out) const override {
     out.push_back(static_cast<std::uint8_t>(state_));
     detail::put_u64(out, value_);
@@ -259,15 +252,6 @@ class WoSequencer final : public ProtocolMachine {
           (owner_ == kNoNode ? 0u : owner_) >> shift));
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out, owner_ == kNoNode ? 0u : owner_);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    if (pending_ != Pending::kNone) detail::encode_token(out, pending_msg_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     const bool has_owner = detail::take_u8(p, end) != 0;
     const NodeId owner = detail::take_u32(p, end);
@@ -277,18 +261,16 @@ class WoSequencer final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                   std::size_t n) const override {
     out.push_back(owner_ == kNoNode ? 0 : 1);
     detail::put_u32(out,
                     owner_ == kNoNode ? 0u : detail::map_node(owner_, map, n));
     out.push_back(static_cast<std::uint8_t>(pending_));
     if (pending_ != Pending::kNone)
-      detail::encode_token_relabeled(out, pending_msg_, map, n);
+      detail::encode_token(out, pending_msg_, map, n);
     out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
+    for (const Message& msg : deferred_) detail::encode_token(out, msg, map, n);
   }
 
   void encode_state(std::vector<std::uint8_t>& out) const override {

@@ -90,12 +90,6 @@ class WtClient final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
   void encode_state(std::vector<std::uint8_t>& out) const override {
     out.push_back(valid_ ? 1 : 0);
     detail::put_u64(out, value_);
@@ -170,12 +164,6 @@ class WtSequencer final : public ProtocolMachine {
 
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 

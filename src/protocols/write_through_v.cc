@@ -15,7 +15,6 @@
 // p = S/(S+2) - a*sigma*S/(S+2) quoted in Section 5.1.
 #include "protocols/detail.h"
 
-
 #include "support/error.h"
 
 namespace drsm::protocols {
@@ -100,12 +99,6 @@ class WtvClient final : public ProtocolMachine {
 
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     valid_ = detail::take_u8(p, end) != 0;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
     return true;
   }
 
@@ -205,13 +198,6 @@ class WtvSequencer final : public ProtocolMachine {
     out.push_back(1);
   }
 
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(1);
-    out.push_back(granting_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
   bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
     detail::take_u8(p, end);
     granting_ = false;
@@ -219,14 +205,12 @@ class WtvSequencer final : public ProtocolMachine {
     return true;
   }
 
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
+  void encode_full(std::vector<std::uint8_t>& out, const NodeId* map,
+                   std::size_t n) const override {
     out.push_back(1);
     out.push_back(granting_ ? 1 : 0);
     out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
+    for (const Message& msg : deferred_) detail::encode_token(out, msg, map, n);
   }
 
   void encode_state(std::vector<std::uint8_t>& out) const override {

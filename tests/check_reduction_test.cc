@@ -77,7 +77,6 @@ TEST_P(ReductionSoundnessTest, ReducedMatchesFullExpansionVerdict) {
   EXPECT_LE(r.transitions, f.transitions);
   EXPECT_TRUE(r.symmetry_applied);
   EXPECT_TRUE(r.por_applied);
-  EXPECT_TRUE(r.compact_frontier);
   EXPECT_FALSE(f.symmetry_applied);
   EXPECT_FALSE(f.por_applied);
 
@@ -220,7 +219,7 @@ std::uint64_t all_permutation_key(const World& w,
                                   std::vector<std::uint8_t>& scratch) {
   std::uint64_t best = 0;
   for (std::size_t i = 0; i < perms.size(); ++i) {
-    EXPECT_TRUE(check::encode_key_relabeled(w, perms[i].data(), scratch));
+    check::encode_key(w, scratch, perms[i].data());
     const std::uint64_t h = hash_bytes(scratch.data(), scratch.size());
     if (i == 0 || h < best) best = h;
   }
@@ -264,15 +263,14 @@ void twin_walks(const CheckConfig& cfg, int min_steps, Visit visit) {
 std::size_t expect_twins_share_keys(const CheckConfig& cfg, int min_steps,
                                     const std::string& what) {
   std::vector<std::uint8_t> key_a, key_b, scratch;
-  std::vector<NodeId> identity;
-  for (std::size_t c = 0; c < cfg.num_clients; ++c)
-    identity.push_back(static_cast<NodeId>(c));
+  const std::vector<NodeId> identity =
+      check::identity_labeling(cfg.num_clients);
   std::size_t checked = 0;
   twin_walks(cfg, min_steps, [&](const World& a, const World& b,
                                  const std::vector<NodeId>& pi) {
     // The twin's identity key is the original's key relabeled by pi...
-    ASSERT_TRUE(check::encode_key_relabeled(a, pi.data(), key_a));
-    ASSERT_TRUE(check::encode_key_relabeled(b, identity.data(), key_b));
+    check::encode_key(a, key_a, pi.data());
+    check::encode_key(b, key_b, identity.data());
     ASSERT_EQ(key_a, key_b) << what;
     // ...and both walks canonicalize to the same key at every step.
     ASSERT_EQ(check::canonical_hash(a, scratch).hash,
@@ -375,6 +373,8 @@ TEST_P(SnapshotCodecTest, RoundTripsEveryObservableField) {
 
   Rng rng(4242);
   World w = check::make_initial_world(cfg);
+  const std::vector<NodeId> identity =
+      check::identity_labeling(cfg.num_clients);
   std::vector<std::uint8_t> bytes, bytes2, key, key2;
   for (int step = 0; step < 80; ++step) {
     const auto actions = enabled_actions(w);
@@ -391,8 +391,8 @@ TEST_P(SnapshotCodecTest, RoundTripsEveryObservableField) {
     // history intact.
     check::serialize_world(back, bytes2);
     EXPECT_EQ(bytes, bytes2);
-    check::encode_key(w, key);
-    check::encode_key(back, key2);
+    check::encode_key(w, key, identity.data());
+    check::encode_key(back, key2, identity.data());
     EXPECT_EQ(key, key2);
     EXPECT_EQ(back.version_counter, w.version_counter);
     EXPECT_EQ(back.issue_counter, w.issue_counter);
@@ -444,6 +444,8 @@ std::vector<std::vector<std::uint8_t>> walk_snapshots(const CheckConfig& cfg,
 void expect_reused_decode_matches_fresh(const CheckConfig& cfg,
                                         const std::string& what) {
   World reused;
+  const std::vector<NodeId> identity =
+      check::identity_labeling(cfg.num_clients);
   std::vector<std::uint8_t> bytes_reused, bytes_fresh, key_reused, key_fresh;
   for (const auto& snap : walk_snapshots(cfg, 9001, 200)) {
     const std::uint8_t* end = snap.data() + snap.size();
@@ -454,8 +456,8 @@ void expect_reused_decode_matches_fresh(const CheckConfig& cfg,
     check::serialize_world(fresh, bytes_fresh);
     ASSERT_EQ(bytes_reused, bytes_fresh) << what;
     ASSERT_EQ(bytes_reused, snap) << what;
-    check::encode_key(reused, key_reused);
-    check::encode_key(fresh, key_fresh);
+    check::encode_key(reused, key_reused, identity.data());
+    check::encode_key(fresh, key_fresh, identity.data());
     ASSERT_EQ(key_reused, key_fresh) << what;
   }
 }

@@ -588,12 +588,14 @@ TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
     watched = mem.error();
   });
   std::vector<std::string> drain_errors(kSessions);
-  // Grants each session's handler saw, per shard.
+  // Grants each session's handler saw, per shard, and what the session
+  // counted as completed.
   std::vector<std::array<std::size_t, 2>> handled(kSessions, {0, 0});
+  std::vector<std::uint64_t> completed(kSessions, 0);
   {
     std::vector<std::thread> clients;
     for (std::size_t c = 0; c < kSessions; ++c) {
-      clients.emplace_back([&mem, &drain_errors, &handled, c] {
+      clients.emplace_back([&mem, &drain_errors, &handled, &completed, c] {
         auto& session = mem.session(static_cast<NodeId>(c));
         session.set_grant_handler([&handled, c](const sim::ShardGrant& g) {
           ++handled[c][sim::shard_of(g.object, 2)];
@@ -605,6 +607,7 @@ TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
         } catch (const Error& e) {
           drain_errors[c] = e.what();
         }
+        completed[c] = session.completed();
       });
     }
     for (auto& t : clients) t.join();
@@ -621,12 +624,18 @@ TEST(ConcurrentRuntimeTest, ShardFailureReachesEverySession) {
   // Shard 1 executed every read sent to it; shard 0 the 499 reads before
   // the one whose tap threw.  The grants it sent after failing carry no
   // read and must not reach a handler.
+  // A session counts as completed exactly the grants it handled: the
+  // unexecuted reads free their window slots without being counted.
   std::size_t shard0 = 0;
+  std::uint64_t total_completed = 0;
   for (std::size_t c = 0; c < kSessions; ++c) {
     EXPECT_EQ(handled[c][1], kReads / 2) << "session " << c;
+    EXPECT_EQ(completed[c], handled[c][0] + handled[c][1]) << "session " << c;
     shard0 += handled[c][0];
+    total_completed += completed[c];
   }
   EXPECT_EQ(shard0, 499u);
+  EXPECT_EQ(total_completed, kSessions * kReads / 2 + 499u);
 }
 
 }  // namespace

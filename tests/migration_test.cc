@@ -80,7 +80,8 @@ TEST(MigrationCheck, EveryOrderedPairSafeAtN2) {
           << result.violations.front().invariant << " — "
           << result.violations.front().detail;
       EXPECT_FALSE(result.hit_state_cap) << pair_name(from, to);
-      // trust_factory_encodings must actually lift the factory gate.
+      // The wrappers round-trip the snapshot codec, so the factory world
+      // runs on the reduced engine.
       EXPECT_TRUE(result.symmetry_applied) << pair_name(from, to);
       EXPECT_TRUE(result.por_applied) << pair_name(from, to);
     }

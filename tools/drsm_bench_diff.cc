@@ -3,8 +3,9 @@
 // Compares a freshly generated report against a committed baseline:
 //
 //  * accuracy — every numeric acc field (acc, acc_analytic, acc_mean,
-//    discrepancy_percent, plus the model checker's "states" counts) in
-//    the "results" array must match the baseline bit for bit, in order.
+//    discrepancy_percent, plus the model checker's states, transitions,
+//    max_depth, probes, por_pruned, symmetry_hits and relabelings counts)
+//    in the "results" array must match the baseline bit for bit, in order.
 //    The sweeps are deterministic by contract (the checker's counts at
 //    one worker thread), so any difference is a real behaviour change,
 //    not noise.  --acc-tol
@@ -32,6 +33,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -95,14 +97,22 @@ struct AccSample {
 };
 
 bool is_acc_key(const std::string& key) {
-  // "states" is the model checker's exhaustive visited-state count
-  // (BENCH_check.json).  It is exact at one worker thread, the count the
-  // committed report is generated with (DRSM_THREADS=1), and held to the
-  // same bit-exact standard as the analytic accuracy figures; at more
-  // threads the claim race can move it between runs, so compare only
-  // one-thread reports.
-  return key == "acc" || key == "acc_analytic" || key == "acc_mean" ||
-         key == "discrepancy_percent" || key == "states";
+  // After the four accuracy figures come the model checker's counts
+  // (BENCH_check.json): visited states, explored transitions, BFS depth,
+  // read probes, POR-pruned siblings, symmetry hits and relabeled
+  // encodings.  Each is exact at
+  // one worker thread, the count the committed report is generated with
+  // (DRSM_THREADS=1), and held to the same bit-exact standard as the
+  // analytic accuracy figures; symmetry_hits also moves whenever the
+  // state-key bytes or their hash change, and relabelings whenever the
+  // client signatures do.  At more threads the claim race can move them
+  // between runs, so compare only one-thread reports.
+  static const char* const kKeys[] = {
+      "acc",        "acc_analytic",  "acc_mean",  "discrepancy_percent",
+      "states",     "transitions",   "max_depth", "probes",
+      "por_pruned", "symmetry_hits", "relabelings"};
+  return std::find(std::begin(kKeys), std::end(kKeys), key) !=
+         std::end(kKeys);
 }
 
 /// Collects the accuracy fields of every object in the report's "results"

@@ -152,12 +152,66 @@ void dump_counterexample(const check::CheckResult& result,
               result.counterexample.size(), path.c_str());
 }
 
+/// Runs `config` under the command line's budget and engine flags and
+/// prints its summary row (named `label`), its reductions line, the
+/// state-cap banner and any violation.  Sets `failed` on a violation and
+/// `capped` when the exploration hit its state cap.
+void run_check(check::CheckConfig config, const std::string& label,
+               const Args& args, bool& failed, bool& capped) {
+  config.reads_per_client = args.reads;
+  config.writes_per_client = args.writes;
+  config.probe_quiescent_reads = args.probes;
+  config.threads = args.threads;
+  if (args.max_states > 0) config.max_states = args.max_states;
+  if (args.full_expansion)
+    config.expansion = check::CheckConfig::Expansion::kFullExpansion;
+  config.symmetry_reduction = args.symmetry;
+  config.partial_order_reduction = args.por;
+  const check::CheckResult result = check::check_protocol(config);
+  std::printf("  %-16s %8zu states %9zu transitions %6zu probes "
+              "depth %3zu %8.0f st/s  %s\n",
+              label.c_str(), result.states, result.transitions,
+              result.probes, result.max_depth, result.states_per_sec(),
+              result.ok() ? (result.hit_state_cap ? "PARTIAL" : "ok")
+                          : "VIOLATION");
+  if (result.symmetry_applied || result.por_applied)
+    std::printf("    reductions: %zu symmetry hits, %zu relabelings, "
+                "%zu POR-pruned siblings, %zu threads; expand %.1f ms, "
+                "merge %.1f ms\n",
+                result.symmetry_hits, result.relabelings, result.por_pruned,
+                result.threads_used, result.expand_seconds * 1e3,
+                result.merge_seconds * 1e3);
+  if (result.hit_state_cap) {
+    capped = true;
+    std::printf("    *** STATE CAP HIT: exploration stopped at %zu "
+                "states — the verdict above is PARTIAL, not a proof. "
+                "Raise --max-states (current cap %zu) or shrink the "
+                "configuration. ***\n",
+                result.states, config.max_states);
+  }
+  if (!result.ok()) {
+    failed = true;
+    for (const auto& v : result.violations)
+      std::printf("    %s: %s\n", v.invariant, v.detail.c_str());
+    if (!args.trace_path.empty())
+      dump_counterexample(result, args.trace_path);
+    if (!args.postmortem_path.empty()) {
+      obs::FlightRecorder recorder;
+      check::dump_counterexample(result, recorder, args.postmortem_path);
+      std::printf("  post-mortem written to %s\n",
+                  args.postmortem_path.c_str());
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
   const Args args = parse(argc, argv);
   bool failed = false;
   bool capped = false;
+  const char* engine = args.full_expansion ? "full expansion (reference mode)"
+                                           : "reduced (symmetry + POR)";
 
   if (args.migration) {
     auto pairs = args.pairs;
@@ -170,125 +224,32 @@ int main(int argc, char** argv) try {
     }
     std::printf("migration checker: %zu clients, %zu read(s) + %zu "
                 "write(s) per client, trigger %zu, %s\n",
-                args.clients, args.reads, args.writes, args.trigger,
-                args.full_expansion ? "full expansion (reference mode)"
-                                    : "reduced (symmetry + POR)");
+                args.clients, args.reads, args.writes, args.trigger, engine);
     for (const auto& [from, to] : pairs) {
       dsm::MigrationWorldOptions opts;
       opts.from = from;
       opts.to = to;
       opts.num_clients = args.clients;
       opts.trigger = args.trigger;
-      check::CheckConfig config = dsm::migration_check_config(opts);
-      config.reads_per_client = args.reads;
-      config.writes_per_client = args.writes;
-      config.probe_quiescent_reads = args.probes;
-      config.threads = args.threads;
-      if (args.max_states > 0) config.max_states = args.max_states;
-      if (args.full_expansion)
-        config.expansion = check::CheckConfig::Expansion::kFullExpansion;
-      config.symmetry_reduction = args.symmetry;
-      config.partial_order_reduction = args.por;
-      const check::CheckResult result = check::check_protocol(config);
-      std::printf("  %-13s-> %-13s %8zu states %9zu transitions depth "
-                  "%3zu %8.0f st/s  expand %6.1f ms  merge %5.1f ms  %s\n",
-                  protocols::to_string(from), protocols::to_string(to),
-                  result.states, result.transitions, result.max_depth,
-                  result.states_per_sec(), result.expand_seconds * 1e3,
-                  result.merge_seconds * 1e3,
-                  result.ok() ? (result.hit_state_cap ? "PARTIAL" : "ok")
-                              : "VIOLATION");
-      if (result.hit_state_cap) {
-        capped = true;
-        std::printf("    *** STATE CAP HIT: exploration stopped at %zu "
-                    "states — the verdict above is PARTIAL, not a proof. "
-                    "***\n",
-                    result.states);
-      }
-      if (!result.ok()) {
-        failed = true;
-        for (const auto& v : result.violations)
-          std::printf("    %s: %s\n", v.invariant, v.detail.c_str());
-        if (!args.trace_path.empty())
-          dump_counterexample(result, args.trace_path);
-        if (!args.postmortem_path.empty()) {
-          obs::FlightRecorder recorder;
-          check::dump_counterexample(result, recorder,
-                                     args.postmortem_path);
-          std::printf("  post-mortem written to %s\n",
-                      args.postmortem_path.c_str());
-        }
-      }
+      run_check(dsm::migration_check_config(opts),
+                strfmt("%-13s-> %-13s", protocols::to_string(from),
+                       protocols::to_string(to)),
+                args, failed, capped);
     }
-    if (failed) return 1;
-    if (capped) {
-      std::printf("RESULT: PARTIAL — at least one exploration hit its "
-                  "state cap; nothing was proved for those "
-                  "configurations.\n");
-      return 3;
-    }
-    return 0;
-  }
-
-  std::printf("model checker: %zu clients, %zu read(s) + %zu write(s) per "
-              "client, probes %s, %s\n",
-              args.clients, args.reads, args.writes,
-              args.probes ? "on" : "off",
-              args.full_expansion ? "full expansion (reference mode)"
-                                  : "reduced (symmetry + POR)");
-  for (const auto kind : args.kinds) {
-    check::CheckConfig config;
-    config.protocol = kind;
-    config.num_clients = args.clients;
-    config.reads_per_client = args.reads;
-    config.writes_per_client = args.writes;
-    config.probe_quiescent_reads = args.probes;
-    config.threads = args.threads;
-    if (args.max_states > 0) config.max_states = args.max_states;
-    if (args.full_expansion)
-      config.expansion = check::CheckConfig::Expansion::kFullExpansion;
-    config.symmetry_reduction = args.symmetry;
-    config.partial_order_reduction = args.por;
-    const check::CheckResult result = check::check_protocol(config);
-    std::printf("  %-16s %8zu states %9zu transitions %6zu probes "
-                "depth %3zu %8.0f st/s  %s\n",
-                protocols::to_string(kind), result.states,
-                result.transitions, result.probes, result.max_depth,
-                result.states_per_sec(),
-                result.ok() ? (result.hit_state_cap ? "PARTIAL" : "ok")
-                            : "VIOLATION");
-    if (result.symmetry_applied || result.por_applied)
-      std::printf("    reductions: %zu symmetry hits, %zu relabelings, "
-                  "%zu POR-pruned siblings, %zu threads%s; expand %.1f ms, "
-                  "merge %.1f ms\n",
-                  result.symmetry_hits, result.relabelings, result.por_pruned,
-                  result.threads_used,
-                  result.compact_frontier ? ", compact frontier" : "",
-                  result.expand_seconds * 1e3, result.merge_seconds * 1e3);
-    if (result.hit_state_cap) {
-      capped = true;
-      std::printf("    *** STATE CAP HIT: exploration stopped at %zu "
-                  "states — the verdict above is PARTIAL, not a proof. "
-                  "Raise --max-states (current cap %zu) or shrink the "
-                  "configuration. ***\n",
-                  result.states, config.max_states);
-    }
-    if (!result.ok()) {
-      failed = true;
-      for (const auto& v : result.violations)
-        std::printf("    %s: %s\n", v.invariant, v.detail.c_str());
-      if (!args.trace_path.empty())
-        dump_counterexample(result, args.trace_path);
-      if (!args.postmortem_path.empty()) {
-        obs::FlightRecorder recorder;
-        check::dump_counterexample(result, recorder, args.postmortem_path);
-        std::printf("  post-mortem written to %s\n",
-                    args.postmortem_path.c_str());
-      }
+  } else {
+    std::printf("model checker: %zu clients, %zu read(s) + %zu write(s) "
+                "per client, probes %s, %s\n",
+                args.clients, args.reads, args.writes,
+                args.probes ? "on" : "off", engine);
+    for (const auto kind : args.kinds) {
+      check::CheckConfig config;
+      config.protocol = kind;
+      config.num_clients = args.clients;
+      run_check(config, protocols::to_string(kind), args, failed, capped);
     }
   }
 
-  if (args.seeds > 0) {
+  if (!args.migration && args.seeds > 0) {
     std::printf("property harness: %zu seed(s), %zu ops each\n", args.seeds,
                 args.ops);
     for (const auto kind : args.kinds) {
