@@ -96,13 +96,14 @@ int main() {
 
   std::printf("per-object recommendation:\n");
   std::vector<std::vector<std::string>> rows;
-  for (ObjectId j = 0; j < kObjects; ++j) {
+  for (std::size_t i = 0; i < rec.objects.size(); ++i) {
+    const ObjectId j = rec.objects[i];
     rows.push_back({strfmt("%u", j),
                     j % 3 == 0 ? "private" : (j % 3 == 1 ? "producer/"
                                                            "consumers"
                                                          : "contended"),
-                    protocols::to_string(rec.object_protocol[j]),
-                    strfmt("%.1f", rec.object_acc[j])});
+                    protocols::to_string(rec.object_protocol[i]),
+                    strfmt("%.1f", rec.object_acc[i])});
   }
   std::printf("%s\n",
               render_table({"object", "archetype", "protocol",
@@ -121,8 +122,8 @@ int main() {
   const double uniform_measured = replay(uniform, trace);
 
   dsm::SharedMemory placed(options);
-  for (ObjectId j = 0; j < kObjects; ++j)
-    placed.switch_protocol(j, rec.object_protocol[j]);
+  for (std::size_t i = 0; i < rec.objects.size(); ++i)
+    placed.switch_protocol(rec.objects[i], rec.object_protocol[i]);
   const double placed_measured = replay(placed, trace);
 
   std::printf(

@@ -19,8 +19,10 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # pipeline with real client threads — the racy half of the migration
 # world (tests labeled both `migration` and `concurrency`).
 # ParallelCheckTest runs the model checker's per-depth expansion on 4
-# workers, each expansion task decoding successors into its own scratch
-# World.
+# workers, each expansion task decoding parents into its own scratch
+# World and undoing each step it builds there.  The TSan configuration
+# fails to build on any construct TSan cannot model (-Werror=tsan, set in
+# CMakeLists.txt), so a clean stage covers every handshake.
 if [ "${DRSM_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan -G Ninja -DDRSM_SANITIZE=thread
   cmake --build build-tsan --target race_test mpsc_ring_test \

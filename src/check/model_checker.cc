@@ -9,11 +9,14 @@
 //    reduction, a frontier of exact snapshots, and per-depth parallel
 //    expansion over exec::ThreadPool.
 //    Each BFS depth is a barrier: one task per thread takes frontier
-//    entries in order and expands them into per-entry result buffers,
-//    decoding each parent snapshot into the task's one scratch World
-//    rather than cloning it per successor; then a serial in-order merge
-//    assigns tree nodes and picks the lowest-index violation.  At one
-//    thread every count and counterexample is exact and reproducible.
+//    entries in order and expands them into per-entry result slots and
+//    the task's own successor list and snapshot arena, decoding each
+//    parent snapshot once into the task's one scratch World, building
+//    each successor in it and undoing the step before the next
+//    (undo_step), rather than cloning or decoding per successor; then a
+//    serial in-order merge assigns tree nodes and picks the lowest-index
+//    violation.  At one thread every count and counterexample is exact
+//    and reproducible.
 //    At more threads workers claim states as they expand them, so the
 //    claim race picks which member of a symmetry orbit is expanded, and
 //    POR's singleton choice depends on that representative: counts can
@@ -29,6 +32,7 @@
 #include <chrono>
 #include <deque>
 #include <set>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -206,30 +210,43 @@ CheckResult check_full(const CheckConfig& cfg, World init) {
   return res;
 }
 
-/// One queued frontier state: its exact byte snapshot and its
-/// search-tree index.
+/// One queued frontier state: its exact byte snapshot, which lives in the
+/// arena of the task that found it (or, at depth 0, in the initial
+/// snapshot), and its search-tree index.
 struct Entry {
-  std::vector<std::uint8_t> bytes;
+  std::span<const std::uint8_t> bytes;
   std::size_t tree = 0;
 };
 
 /// One newly claimed successor produced by a worker, pending the serial
-/// merge that assigns its tree node.
+/// merge that assigns its tree node: its step and where its snapshot
+/// sits in the task's arena for the depth.
 struct SuccessorOut {
   CheckStep step;
-  std::vector<std::uint8_t> bytes;
+  std::size_t offset = 0;
+  std::size_t size = 0;
 };
 
-/// One expansion task's reusable state: the World every successor is
-/// decoded into, and the buffers for candidates, keys and snapshots.
+/// One expansion task's state, kept for the whole search: the World each
+/// parent is decoded into and every successor built in, the parent's
+/// Ledger as decoded (for undo_step), the buffers for candidates, keys
+/// and snapshots, and the state_name() literals of the states the task
+/// inserted, each address once.  The successors a task finds at a depth
+/// go to `succs`, their snapshots one after another into `arena[depth %
+/// 2]`: the next depth's frontier reads them there while the task fills
+/// the other arena, so a new state costs no allocation of its own.
 struct Scratch {
   World world;
+  Ledger parent_ledger;
   std::vector<Candidate> candidates;
   std::vector<std::uint8_t> bytes;
+  std::vector<const char*> names;
+  std::vector<SuccessorOut> succs;
+  std::vector<std::uint8_t> arena[2];
 };
 
 /// Decodes a frontier snapshot into `w`, in place once `w` is built.
-void decode(const CheckConfig& cfg, const std::vector<std::uint8_t>& bytes,
+void decode(const CheckConfig& cfg, std::span<const std::uint8_t> bytes,
             World& w) {
   const bool ok =
       deserialize_world(cfg, bytes.data(), bytes.data() + bytes.size(), w);
@@ -238,16 +255,20 @@ void decode(const CheckConfig& cfg, const std::vector<std::uint8_t>& bytes,
 
 /// Everything a worker learned expanding one frontier entry.  Workers
 /// write only their own slot; the depth-barrier merge folds the slots in
-/// entry order.
+/// entry order.  The entry's successors are succs[succ_begin, succ_end)
+/// of the Scratch of task `task`.
 struct EntryResult {
-  std::vector<SuccessorOut> succs;
+  std::size_t task = 0;
+  std::size_t succ_begin = 0;
+  std::size_t succ_end = 0;
   std::size_t transitions = 0;
   std::size_t truncated = 0;
   std::size_t por_pruned = 0;
   std::size_t symmetry_hits = 0;
   std::size_t relabelings = 0;
   std::size_t probes = 0;
-  std::set<const char*> names;  // state_name() literals of inserted states
+  std::size_t decodes = 0;
+  std::size_t restores = 0;
   const char* invariant = nullptr;  // first violation, candidate order
   std::string detail;
   CheckStep bad_step;
@@ -259,7 +280,7 @@ struct EntryResult {
 /// snapshots.  `init_bytes` is the snapshot of `init`, which
 /// check_protocol has seen round-trip.
 CheckResult check_reduced(const CheckConfig& cfg, const World& init,
-                          std::vector<std::uint8_t> init_bytes) {
+                          const std::vector<std::uint8_t>& init_bytes) {
   const bool symmetry = cfg.symmetry_reduction && cfg.num_clients >= 2;
   const bool por = cfg.partial_order_reduction;
   const std::vector<NodeId> identity = identity_labeling(cfg.num_clients);
@@ -329,7 +350,7 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
   }
 
   std::vector<Entry> frontier;
-  if (res.violations.empty()) frontier.push_back({std::move(init_bytes), 0});
+  if (res.violations.empty()) frontier.push_back({init_bytes, 0});
 
   // When the pool is one thread, parallel_for degenerates to an in-order
   // inline loop, so a shared stop flag reproduces the reference engine's
@@ -338,26 +359,34 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
   // the merge always sees the lowest-(entry, candidate) one regardless
   // of schedule.
   const bool serial = pool.threads() == 1;
+  std::vector<Scratch> scratches(pool.threads());
+  std::vector<EntryResult> results;
 
   std::size_t depth = 0;
   while (!frontier.empty() && res.violations.empty() &&
          !res.hit_state_cap) {
     const std::size_t width = frontier.size();
     store.reserve(store.size() + width * succ_bound);
-    std::vector<EntryResult> results(width);
+    results.assign(width, EntryResult{});
     std::atomic<bool> stop{false};
 
-    auto expand = [&](std::size_t i, Scratch& scratch) {
+    auto expand = [&](std::size_t i, std::size_t task) {
       if (stop.load(std::memory_order_relaxed)) return;
       EntryResult& r = results[i];
       const Entry& entry = frontier[i];
+      Scratch& scratch = scratches[task];
+      r.task = task;
+      r.succ_begin = r.succ_end = scratch.succs.size();
 
-      // Every successor is built in s: the parent is decoded into it for
-      // each candidate; the first candidate reuses the decode that
-      // enumerated them.
+      // Every successor is built in s from the parent, decoded once.
+      // Between candidates s goes back to the parent by undoing the step
+      // (undo_step), or by decoding again after a quiescent read probe,
+      // which runs many steps.
       World& s = scratch.world;
       decode(cfg, entry.bytes, s);
-      bool s_is_parent = true;
+      ++r.decodes;
+      scratch.parent_ledger = static_cast<const Ledger&>(s);
+      enum class Since { kDecode, kStep, kProbe } since = Since::kDecode;
       std::vector<Candidate>& candidates = scratch.candidates;
       enumerate_candidates(s, candidates);
       if (por && candidates.size() > 1) {
@@ -374,8 +403,14 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
 
       for (const Candidate& cand : candidates) {
         if (stop.load(std::memory_order_relaxed)) return;
-        if (!s_is_parent) decode(cfg, entry.bytes, s);
-        s_is_parent = false;
+        if (since == Since::kStep) {
+          undo_step(s, entry.bytes.data(), scratch.parent_ledger);
+          ++r.restores;
+        } else if (since == Since::kProbe) {
+          decode(cfg, entry.bytes, s);
+          ++r.decodes;
+        }
+        since = Since::kStep;
         StepOutcome out;
         CheckStep step;
         step.kind = cand.kind;
@@ -424,21 +459,32 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
           if (key.nontrivial) ++r.symmetry_hits;
           continue;
         }
-        for (const auto& machine : s.machines)
-          r.names.insert(machine->state_name());
+        for (const auto& machine : s.machines) {
+          const char* name = machine->state_name();
+          if (std::find(scratch.names.begin(), scratch.names.end(), name) ==
+              scratch.names.end())
+            scratch.names.push_back(name);
+        }
         SuccessorOut succ;
         succ.step = step;
         serialize_world(s, scratch.bytes);
-        succ.bytes.assign(scratch.bytes.begin(), scratch.bytes.end());
+        std::vector<std::uint8_t>& arena = scratch.arena[depth % 2];
+        succ.offset = arena.size();
+        succ.size = scratch.bytes.size();
+        arena.insert(arena.end(), scratch.bytes.begin(), scratch.bytes.end());
         if (cfg.probe_quiescent_reads && channels_empty(s) &&
             !any_pending(s)) {
           const char* probe_inv = nullptr;
           std::string probe_detail;
+          since = Since::kProbe;
           for (NodeId client = 0; client < cfg.num_clients; ++client) {
             ++r.probes;
             // Each probe runs on s itself, rebuilt from the snapshot after
             // the first.
-            if (client > 0) decode(cfg, succ.bytes, s);
+            if (client > 0) {
+              decode(cfg, scratch.bytes, s);
+              ++r.decodes;
+            }
             probe_inv = probe_read_in_place(s, client, cfg, probe_detail);
             if (probe_inv != nullptr) break;
           }
@@ -455,21 +501,23 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
           stop.store(true, std::memory_order_relaxed);
           // Keep this last successor: it was claimed before the cap hit.
         }
-        r.succs.push_back(std::move(succ));
+        scratch.succs.push_back(succ);
+        r.succ_end = scratch.succs.size();
         if (r.overflow) return;
       }
     };
     // One task per pool thread, each with its own Scratch, takes entries
     // from a shared cursor in frontier order: the schedule of one task
-    // per entry, with one scratch World built per task and depth.
+    // per entry, with one scratch World per task for the whole search.
     std::atomic<std::size_t> cursor{0};
     const auto expand_start = Clock::now();
-    pool.parallel_for(pool.threads(), [&](std::size_t) {
-      Scratch scratch;
+    pool.parallel_for(pool.threads(), [&](std::size_t task) {
+      scratches[task].succs.clear();
+      scratches[task].arena[depth % 2].clear();
       for (;;) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= width) return;
-        expand(i, scratch);
+        expand(i, task);
       }
     });
     const auto merge_start = Clock::now();
@@ -487,7 +535,8 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
       res.symmetry_hits += r.symmetry_hits;
       res.relabelings += r.relabelings;
       res.probes += r.probes;
-      for (const char* name : r.names) names.insert(name);
+      res.decodes += r.decodes;
+      res.restores += r.restores;
       if (r.overflow) res.hit_state_cap = true;
       if (r.invariant != nullptr && !violated) {
         violated = true;
@@ -495,11 +544,15 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
              r.invariant, std::move(r.detail));
       }
       if (violated) continue;
-      for (SuccessorOut& succ : r.succs) {
+      const Scratch& found = scratches[r.task];
+      for (std::size_t k = r.succ_begin; k < r.succ_end; ++k) {
+        const SuccessorOut& succ = found.succs[k];
         tree.push_back({static_cast<std::int64_t>(frontier[i].tree),
                         succ.step, depth + 1});
         res.max_depth = std::max(res.max_depth, depth + 1);
-        next.push_back({std::move(succ.bytes), tree.size() - 1});
+        next.push_back(
+            {std::span(found.arena[depth % 2]).subspan(succ.offset, succ.size),
+             tree.size() - 1});
       }
     }
     frontier = std::move(next);
@@ -508,6 +561,8 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
   }
 
   res.states = store.size();
+  for (const Scratch& scratch : scratches)
+    names.insert(scratch.names.begin(), scratch.names.end());
   res.visited_state_names.assign(names.begin(), names.end());
   return res;
 }
@@ -520,6 +575,8 @@ void publish_metrics(const CheckConfig& cfg, const CheckResult& res) {
   m.counter("check.symmetry_hits").inc(res.symmetry_hits);
   m.counter("check.relabelings").inc(res.relabelings);
   m.counter("check.por_pruned").inc(res.por_pruned);
+  m.counter("check.decodes").inc(res.decodes);
+  m.counter("check.restores").inc(res.restores);
   m.gauge("check.states_per_sec").set(res.states_per_sec());
   m.gauge("check.wall_ms").set(res.wall_seconds * 1e3);
   m.gauge("check.expand_ms").set(res.expand_seconds * 1e3);
@@ -552,7 +609,7 @@ CheckResult check_protocol(const CheckConfig& cfg) {
     reduced = deserialize_world(cfg, init_bytes.data(),
                                 init_bytes.data() + init_bytes.size(), probe);
   }
-  CheckResult res = reduced ? check_reduced(cfg, init, std::move(init_bytes))
+  CheckResult res = reduced ? check_reduced(cfg, init, init_bytes)
                             : check_full(cfg, std::move(init));
   res.wall_seconds = seconds(start, Clock::now());
   publish_metrics(cfg, res);

@@ -55,7 +55,10 @@
 //    at one thread; see CheckConfig::threads);
 //  * snapshot frontier — queued states are exact byte snapshots
 //    (serialize_world), not live machine graphs, cutting memory per
-//    state by an order of magnitude.
+//    state by an order of magnitude.  Each task packs the snapshots it
+//    finds at a depth into one reused arena, which the next depth reads.
+//    A frontier state is decoded once; each successor is built in place
+//    and then undone (undo_step).
 // CheckConfig::Expansion::kFullExpansion turns the reductions off; the
 // reduction-soundness tests assert both modes reach identical verdicts.
 // Reduced mode dedups on 64-bit canonical hashes (not full keys): with
@@ -156,7 +159,8 @@ struct CheckConfig {
 
   /// When set, check_protocol publishes check.* counters and gauges here
   /// (states, transitions, symmetry_hits, relabelings, por_pruned,
-  /// states_per_sec, wall_ms, expand_ms, merge_ms, max_depth).  Not
+  /// decodes, restores, states_per_sec, wall_ms, expand_ms, merge_ms,
+  /// max_depth).  Not
   /// written to concurrently: workers aggregate locally and publish once
   /// at the end.
   obs::MetricsRegistry* metrics = nullptr;
@@ -201,6 +205,15 @@ struct CheckResult {
   std::size_t symmetry_hits = 0;
   std::size_t relabelings = 0;
   std::size_t por_pruned = 0;
+
+  /// How the reduced engine got back to a parent between its successors.
+  /// decodes counts full snapshot decodes while expanding: one per
+  /// expanded state, one more after each quiescent successor's read
+  /// probes, and one per probe after a successor's first.  restores
+  /// counts steps taken back by undo_step instead (check/world.h).  Both
+  /// are 0 under kFullExpansion, which clones.
+  std::size_t decodes = 0;
+  std::size_t restores = 0;
   bool symmetry_applied = false;  // reduction actually ran (reduced
   bool por_applied = false;       // engine, option on)
   std::size_t threads_used = 1;

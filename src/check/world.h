@@ -1,10 +1,11 @@
 // The model checker's global-state representation and the operations the
-// search loop composes: step application, invariant checks, quiescent read
-// probes, symmetry canonicalization and the exact-snapshot codec the
-// reduced engine stores its frontier in.  Split out of model_checker.cc
-// so the search strategy (serial reference vs reduced parallel BFS) and
-// the state semantics evolve independently, and so the reduction
-// machinery is testable on its own (tests/check_reduction_test.cc).
+// search loop composes: step application and undo, invariant checks,
+// quiescent read probes, symmetry canonicalization and the exact-snapshot
+// codec the reduced engine stores its frontier in.  Split out of
+// model_checker.cc so the search strategy (serial reference vs reduced
+// parallel BFS) and the state semantics evolve independently, and so the
+// reduction machinery is testable on its own
+// (tests/check_reduction_test.cc).
 //
 // Reduction correctness in one paragraph each:
 //
@@ -49,19 +50,18 @@
 
 namespace drsm::check {
 
-/// The complete global state of one explored interleaving.  The fields up
-/// to `disabled` are behaviour-relevant and enter the dedup key; the rest
-/// is the path-local write history the serialization checks run against
-/// (values and versions never select a transition, by the same argument
-/// that keeps them out of ProtocolMachine::encode).  Versions and values
-/// are both drawn densely from 1, so the history is two flat vectors.
-struct World {
-  std::vector<std::unique_ptr<fsm::ProtocolMachine>> machines;  // node 0..N
-  std::vector<std::deque<fsm::Message>> channels;  // src * (N+1) + dst
-  std::vector<std::uint8_t> reads_left;            // per client
-  std::vector<std::uint8_t> writes_left;           // per client
-  std::vector<std::uint8_t> pending;  // per client: 0 or op + 1
-  std::vector<std::uint8_t> disabled;  // per node: local queue off
+/// Everything in a World besides its machines and channels.  The fields
+/// up to `disabled` are the issue bookkeeping, which is behaviour-relevant
+/// and enters the dedup key; the rest is the path-local write history the
+/// serialization checks run against (values and versions never select a
+/// transition, by the same argument that keeps them out of
+/// ProtocolMachine::encode).  Versions and values are both drawn densely
+/// from 1, so the history is two flat vectors.
+struct Ledger {
+  std::vector<std::uint8_t> reads_left;   // per client
+  std::vector<std::uint8_t> writes_left;  // per client
+  std::vector<std::uint8_t> pending;      // per client: 0 or op + 1
+  std::vector<std::uint8_t> disabled;     // per node: local queue off
 
   std::uint64_t version_counter = 0;
   std::uint64_t issue_counter = 0;
@@ -73,6 +73,31 @@ struct World {
   std::uint64_t latest_version = 0;
   std::uint64_t latest_value = 0;
   std::vector<std::uint64_t> last_read_version;  // per node
+};
+
+/// The complete global state of one explored interleaving: the machines,
+/// the channels and the Ledger.  A step (apply_issue, apply_deliver) runs
+/// exactly one machine, and every other change it makes is a channel
+/// push, the popped head of a delivery, or a Ledger field, so the World
+/// also logs the first two for undo_step.
+struct World : Ledger {
+  std::vector<std::unique_ptr<fsm::ProtocolMachine>> machines;  // node 0..N
+  std::vector<std::deque<fsm::Message>> channels;  // src * (N+1) + dst
+
+  /// Undo log of the last step: the node whose machine ran, the channels
+  /// it pushed to in push order, and the channel a delivery popped
+  /// (kNoChannel for an issue) with the popped head.
+  static constexpr std::size_t kNoChannel = ~std::size_t{0};
+  NodeId stepped = kNoNode;
+  std::vector<std::size_t> pushed;
+  std::size_t popped_channel = kNoChannel;
+  fsm::Message popped;
+
+  /// Where each machine's encode_state bytes begin in the snapshot this
+  /// World was last decoded from (deserialize_world), plus the end of the
+  /// last machine's: machine n spans [state_offsets[n],
+  /// state_offsets[n + 1]).
+  std::vector<std::size_t> state_offsets;
 
   std::size_t num_nodes() const { return machines.size(); }
   std::size_t num_clients() const { return machines.size() - 1; }
@@ -111,6 +136,16 @@ void apply_issue(World& w, NodeId client, fsm::OpKind op,
 /// Delivers the head of channel src->dst to dst's machine.
 void apply_deliver(World& w, NodeId src, NodeId dst, std::size_t capacity,
                    StepOutcome& out, fsm::Message& msg_out);
+
+/// Takes back the last apply_issue / apply_deliver on `w`, which was
+/// decoded from `snapshot` (deserialize_world) with `ledger` as its
+/// decoded Ledger and has since changed only through steps each followed
+/// by undo_step: the step's pushes are popped, a delivered head goes back
+/// on its channel, the machine that ran is re-decoded from its byte range
+/// in `snapshot`, and `ledger` is assigned back.  `w` then serializes to
+/// `snapshot` again.  A quiescent read probe runs many steps, so a World
+/// it ran on needs deserialize_world instead.
+void undo_step(World& w, const std::uint8_t* snapshot, const Ledger& ledger);
 
 // ---------------------------------------------------------------------------
 // Dedup keys and symmetry canonicalization.
@@ -158,8 +193,10 @@ void serialize_world(const World& w, std::vector<std::uint8_t>& out);
 /// is decoded in place — its machines through decode_state, its channels
 /// and vectors cleared without giving back their storage — so a search
 /// can keep one scratch World per task instead of cloning per successor.
-/// Returns false when some machine does not support decode_state
-/// (check_protocol then runs the full-expansion engine, which clones).
+/// Records each machine's byte range in `out.state_offsets` for
+/// undo_step.  Returns false when some machine does not support
+/// decode_state (check_protocol then runs the full-expansion engine,
+/// which clones).
 bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
                        const std::uint8_t* end, World& out);
 
@@ -185,8 +222,9 @@ const char* probe_read(const World& quiescent, NodeId client,
                        const CheckConfig& cfg, std::string& detail);
 
 /// probe_read run on `quiescent` itself instead of a clone: the probe's
-/// read and drain are left applied, so the caller must rebuild the World
-/// (deserialize_world) before using it again.
+/// read and drain are left applied, and its many steps are beyond
+/// undo_step, so the caller must rebuild the World (deserialize_world)
+/// before using it again.
 const char* probe_read_in_place(World& quiescent, NodeId client,
                                 const CheckConfig& cfg, std::string& detail);
 

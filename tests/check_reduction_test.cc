@@ -14,8 +14,11 @@
 //    permutations, the reference key kept here;
 //  * snapshot codec — serialize_world/deserialize_world round-trips
 //    every field the search can observe, and decoding into a reused
-//    World (as the reduced engine does for every successor) gives the
+//    World (as the reduced engine does for every parent) gives the
 //    same World as decoding into a fresh one;
+//  * step undo — undo_step after any step, cut sends and home -> home
+//    deliveries included, gives back the parent's exact snapshot and
+//    behaviour key;
 //  * StateStore — first-claim semantics hold, including under
 //    concurrent claimers.
 #include <gtest/gtest.h>
@@ -473,6 +476,113 @@ TEST(ReusedDecodeTest, MatchesFreshDecodeForEveryMigrationPairAtN2) {
     for (const ProtocolKind to : protocols::kAllProtocols)
       expect_reused_decode_matches_fresh(migration_walk_config(from, to),
                                          pair_name(from, to));
+}
+
+/// What expect_undo_restores_parent exercised.
+struct UndoCounts {
+  std::size_t undone = 0;        // steps applied and undone
+  std::size_t truncated = 0;     // of them, steps with a cut send
+  std::size_t home_to_home = 0;  // of them, deliveries home -> home
+};
+
+/// Random walks under `cfg`.  Every state on a walk is handled as the
+/// reduced engine handles a parent: decoded once from its snapshot, then
+/// every enabled action is applied and taken back by undo_step in turn,
+/// once at channel_capacity 1, where sends to a nonempty channel are cut,
+/// and once at the configuration's capacity.  After each undo the World
+/// must serialize to the parent's snapshot byte for byte and give its
+/// behaviour key.  The walk then moves to a random successor at the
+/// configuration's capacity with no cut send and no violation, as the
+/// engine would.
+UndoCounts expect_undo_restores_parent(const CheckConfig& cfg,
+                                       std::uint64_t seed, int min_steps,
+                                       const std::string& what) {
+  const NodeId home = static_cast<NodeId>(cfg.num_clients);
+  const std::vector<NodeId> identity =
+      check::identity_labeling(cfg.num_clients);
+  Rng rng(seed);
+  UndoCounts counts;
+  World w;
+  check::Ledger ledger;
+  std::vector<std::uint8_t> parent, parent_key, bytes, key;
+  for (int steps = 0; steps < min_steps;) {
+    w = check::make_initial_world(cfg);
+    for (;;) {
+      check::serialize_world(w, parent);
+      EXPECT_TRUE(check::deserialize_world(
+          cfg, parent.data(), parent.data() + parent.size(), w));
+      ledger = static_cast<const check::Ledger&>(w);
+      check::encode_key(w, parent_key, identity.data());
+      std::vector<WalkAction> clean;
+      for (const WalkAction& a : enabled_actions(w)) {
+        for (const std::size_t capacity : {std::size_t{1},
+                                           cfg.channel_capacity}) {
+          StepOutcome out;
+          fsm::Message msg;
+          if (a.issue)
+            check::apply_issue(w, a.node, a.op, capacity, out, msg);
+          else
+            check::apply_deliver(w, a.src, a.node, capacity, out, msg);
+          check::undo_step(w, parent.data(), ledger);
+          check::serialize_world(w, bytes);
+          check::encode_key(w, key, identity.data());
+          if (bytes != parent || key != parent_key) {
+            ADD_FAILURE() << what << ": undoing "
+                          << (a.issue ? "an issue at " : "a delivery to ")
+                          << a.node << " at capacity " << capacity
+                          << " did not restore the parent";
+            return counts;
+          }
+          ++counts.undone;
+          if (out.truncated) ++counts.truncated;
+          if (!a.issue && a.src == home && a.node == home)
+            ++counts.home_to_home;
+          if (capacity == cfg.channel_capacity && !out.truncated &&
+              out.invariant == nullptr)
+            clean.push_back(a);
+        }
+      }
+      if (clean.empty()) break;
+      apply_action(w, clean[rng.uniform_index(clean.size())],
+                   cfg.channel_capacity);
+      if (::testing::Test::HasFatalFailure()) return counts;
+      ++steps;
+    }
+  }
+  return counts;
+}
+
+TEST(UndoStepTest, RestoresTheParentForEveryProtocolAtN2ToN4) {
+  UndoCounts total;
+  for (const ProtocolKind kind : protocols::kAllProtocols) {
+    for (std::size_t clients = 2; clients <= 4; ++clients) {
+      const UndoCounts c = expect_undo_restores_parent(
+          protocol_walk_config(kind, clients), 31 * clients, 150,
+          std::string(protocols::to_string(kind)) + " N=" +
+              std::to_string(clients));
+      total.undone += c.undone;
+      total.truncated += c.truncated;
+    }
+  }
+  EXPECT_GT(total.undone, 0u);
+  EXPECT_GT(total.truncated, 0u);
+}
+
+TEST(UndoStepTest, RestoresTheParentForEveryMigrationPairAtN2) {
+  UndoCounts total;
+  for (const ProtocolKind from : protocols::kAllProtocols) {
+    for (const ProtocolKind to : protocols::kAllProtocols) {
+      const UndoCounts c = expect_undo_restores_parent(
+          migration_walk_config(from, to), 53, 150, pair_name(from, to));
+      total.undone += c.undone;
+      total.truncated += c.truncated;
+      total.home_to_home += c.home_to_home;
+    }
+  }
+  EXPECT_GT(total.truncated, 0u);
+  // The migration wrapper's fence sends home -> home, so deliveries on
+  // that channel are undone too.
+  EXPECT_GT(total.home_to_home, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -176,11 +176,11 @@ void run_check(check::CheckConfig config, const std::string& label,
                           : "VIOLATION");
   if (result.symmetry_applied || result.por_applied)
     std::printf("    reductions: %zu symmetry hits, %zu relabelings, "
-                "%zu POR-pruned siblings, %zu threads; expand %.1f ms, "
-                "merge %.1f ms\n",
+                "%zu POR-pruned siblings, %zu threads; %zu decodes, "
+                "%zu restores; expand %.1f ms, merge %.1f ms\n",
                 result.symmetry_hits, result.relabelings, result.por_pruned,
-                result.threads_used, result.expand_seconds * 1e3,
-                result.merge_seconds * 1e3);
+                result.threads_used, result.decodes, result.restores,
+                result.expand_seconds * 1e3, result.merge_seconds * 1e3);
   if (result.hit_state_cap) {
     capped = true;
     std::printf("    *** STATE CAP HIT: exploration stopped at %zu "
