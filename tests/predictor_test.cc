@@ -4,6 +4,7 @@
 
 #include "analytic/predictor.h"
 #include "dsm/dsm.h"
+#include "support/error.h"
 #include "workload/generator.h"
 
 namespace drsm {
@@ -216,6 +217,62 @@ TEST(Placement, PerObjectChoiceBeatsEveryUniformChoice) {
               rec.object_protocol[1] == ProtocolKind::kFirefly)
       << protocols::to_string(rec.object_protocol[1]);
   EXPECT_LT(rec.acc, rec.uniform_best_acc - 1e-9);
+}
+
+TEST(Placement, PerObjectVectorsFollowTheTouchedObjects) {
+  // Objects 0 and 2 of 3 are read or written; object 1 never is, so it
+  // gets no entry and entry i describes objects[i].
+  workload::OperationTrace trace;
+  trace.num_clients = 2;
+  trace.num_objects = 3;
+  trace.entries = {{0, 0, OpKind::kRead},  {1, 0, OpKind::kWrite},
+                   {0, 2, OpKind::kWrite}, {1, 2, OpKind::kRead},
+                   {1, 2, OpKind::kRead}};
+  workload::OperationTrace object2_only = trace;
+  object2_only.entries.erase(object2_only.entries.begin(),
+                             object2_only.entries.begin() + 2);
+  const auto config = make_config(2);
+  const std::vector<ObjectId> touched = {0, 2};
+
+  const auto prediction =
+      analytic::predict_from_trace(ProtocolKind::kIllinois, config, trace);
+  EXPECT_EQ(prediction.objects, touched);
+  ASSERT_EQ(prediction.object_share.size(), 2u);
+  ASSERT_EQ(prediction.object_acc.size(), 2u);
+  EXPECT_DOUBLE_EQ(prediction.object_share[0], 2.0 / 5.0);
+  EXPECT_DOUBLE_EQ(prediction.object_share[1], 3.0 / 5.0);
+  EXPECT_DOUBLE_EQ(
+      prediction.object_acc[1],
+      analytic::predict_from_trace(ProtocolKind::kIllinois, config,
+                                   object2_only)
+          .acc);
+  EXPECT_NEAR(prediction.acc,
+              prediction.object_share[0] * prediction.object_acc[0] +
+                  prediction.object_share[1] * prediction.object_acc[1],
+              1e-12);
+
+  const auto rec = analytic::recommend_placement(config, trace);
+  EXPECT_EQ(rec.objects, touched);
+  ASSERT_EQ(rec.object_protocol.size(), 2u);
+  ASSERT_EQ(rec.object_acc.size(), 2u);
+  EXPECT_NEAR(rec.acc,
+              prediction.object_share[0] * rec.object_acc[0] +
+                  prediction.object_share[1] * rec.object_acc[1],
+              1e-12);
+}
+
+TEST(Placement, RejectsMoreClientsThanItPrices) {
+  workload::OperationTrace trace;
+  trace.num_clients = analytic::kMaxTraceClients + 1;
+  trace.entries = {{0, 0, OpKind::kRead}, {1, 0, OpKind::kWrite}};
+  EXPECT_THROW(analytic::spec_from_trace(trace), Error);
+  const auto config = make_config(trace.num_clients);
+  EXPECT_THROW(
+      analytic::predict_from_trace(ProtocolKind::kIllinois, config, trace),
+      Error);
+  EXPECT_THROW(analytic::recommend_placement(config, trace), Error);
+  trace.num_clients = 2;
+  EXPECT_THROW(analytic::recommend_placement(config, trace), Error);
 }
 
 TEST(Placement, SharedMemoryHonorsPerObjectProtocols) {
