@@ -23,7 +23,6 @@
 
 #include "analytic/solver.h"
 #include "bench_util.h"
-#include "exec/batched_sweep.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
 #include "sim/event_sim.h"
@@ -79,9 +78,25 @@ struct CellResult {
   sim::SimStats sim_stats;
 };
 
+// The analytic acc of every grid cell, row-major over (p, sigma); cells
+// with p + a*sigma > 1 are invalid and hold 0.
+std::vector<double> analytic_grid(analytic::AccSolver& solver,
+                                  ProtocolKind kind) {
+  std::vector<double> acc;
+  for (double p : grid()) {
+    for (double sigma : grid()) {
+      const bool valid = p + static_cast<double>(kA) * sigma <= 1.0 + 1e-12;
+      acc.push_back(valid ? solver.acc(kind, workload::read_disturbance(
+                                                 p, sigma, kA))
+                          : 0.0);
+    }
+  }
+  return acc;
+}
+
 // Phase 1: the paper's setup verbatim — one fixed-seed run per cell.
-// `analytic_acc` holds the batched analytic answers, row-major over the
-// grid (invalid cells 0) — see the BatchedSweepRunner call in main().
+// `analytic_acc` holds the analytic answers, row-major over the grid
+// (invalid cells 0) — see analytic_grid().
 void run_table(bench::Report& report, exec::SweepRunner& runner,
                const std::vector<double>& analytic_acc, ProtocolKind kind,
                std::size_t warmup_ops, std::size_t measured_ops,
@@ -296,36 +311,15 @@ int main() {
   obs::MetricsRegistry exec_metrics;
   obs::MetricsRegistry sim_metrics;
   exec::SweepRunner runner({.metrics = &exec_metrics});
-  // Both protocols' analytic grids answered up front by one
-  // BatchedSweepRunner call: cells are grouped per protocol, each group
-  // goes through one SoA stationary solve — bit-identical to the former
-  // per-cell scalar solvers (tests/solver_batch_test.cc).
+  // Both protocols' analytic grids answered up front by one solver, one
+  // acc() call per valid cell.
   analytic::AccSolver analytic_solver({kN, {kScost, kPcost}, 1});
   analytic_solver.set_metrics(&exec_metrics);
   const std::vector<ProtocolKind> kinds = {ProtocolKind::kWriteOnce,
                                            ProtocolKind::kWriteThroughV};
-  std::vector<exec::AnalyticCell> analytic_cells;
-  std::vector<std::pair<std::size_t, std::size_t>> slots;  // (kind, cell)
-  for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
-    std::size_t index = 0;
-    for (double p : grid()) {
-      for (double sigma : grid()) {
-        if (p + static_cast<double>(kA) * sigma <= 1.0 + 1e-12) {
-          analytic_cells.push_back(
-              {kinds[ki], workload::read_disturbance(p, sigma, kA)});
-          slots.push_back({ki, index});
-        }
-        ++index;
-      }
-    }
-  }
-  exec::BatchedSweepRunner batched_runner({.metrics = &exec_metrics});
-  const std::vector<double> batched_acc =
-      batched_runner.acc_grid(analytic_solver, analytic_cells);
-  std::vector<std::vector<double>> analytic_acc(
-      kinds.size(), std::vector<double>(grid().size() * grid().size(), 0.0));
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    analytic_acc[slots[i].first][slots[i].second] = batched_acc[i];
+  std::vector<std::vector<double>> analytic_acc;
+  for (ProtocolKind kind : kinds)
+    analytic_acc.push_back(analytic_grid(analytic_solver, kind));
 
   double serial_ms_total = 0.0;
   double parallel_ms_total = 0.0;

@@ -103,19 +103,6 @@ fi
 rm -rf "$SMOKE_DIR"
 echo "bench smoke: bench_runtime (Release, oracle-refereed) OK"
 
-# Batched-vs-scalar bit-equality gate: the benches below answer their
-# analytic grids through the SoA batched solver, and the regenerated
-# reports are diffed bit-for-bit against the committed baselines — so
-# prove the batched path is bit-identical to the scalar reference
-# *before* regenerating anything (solver_batch_test is the differential
-# suite; see docs/PERFORMANCE.md).
-cmake --build build --target solver_batch_test
-if ! ./build/tests/solver_batch_test >/dev/null; then
-  echo "bench gate: batched solver diverges from scalar reference" >&2
-  exit 1
-fi
-echo "bench gate: batched solver bit-identical to scalar reference OK"
-
 # Snapshot the committed BENCH_*.json baselines before the sweep
 # overwrites them in place — the regression gate below diffs the fresh
 # reports against this snapshot.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <map>
 
-#include "linalg/batch.h"
 #include "linalg/sparse.h"
 #include "support/error.h"
 
@@ -73,7 +71,7 @@ const ProtocolChain::Transition& ProtocolChain::transition(
   return transitions_[state][event];
 }
 
-ProtocolChain::SolveResult ProtocolChain::solve(
+void ProtocolChain::check_probabilities(
     const std::vector<double>& probs) const {
   DRSM_CHECK(probs.size() == events_.size(),
              "probability vector does not match the sample space");
@@ -83,6 +81,11 @@ ProtocolChain::SolveResult ProtocolChain::solve(
     sum += p;
   }
   DRSM_CHECK(std::fabs(sum - 1.0) < 1e-9, "probabilities must sum to 1");
+}
+
+ProtocolChain::SolveResult ProtocolChain::solve(
+    const std::vector<double>& probs) const {
+  check_probabilities(probs);
 
   // Restrict to states reachable through positive-probability events; the
   // full enumeration may contain states only reachable via events that are
@@ -154,161 +157,6 @@ ProtocolChain::SolveResult ProtocolChain::solve(
   return out;
 }
 
-std::vector<double> ProtocolChain::average_cost_batch(
-    const std::vector<std::vector<double>>& probs_list,
-    BatchTelemetry* batch_out) const {
-  BatchTelemetry tel;
-  tel.lanes = probs_list.size();
-
-  // Validate every lane with the scalar solve()'s checks, then group the
-  // lanes by positive-probability mask — the reachable set, the transition
-  // structure and the CSR assembly order are pure functions of the mask.
-  std::map<std::vector<std::uint8_t>, std::vector<std::size_t>> groups;
-  std::vector<std::uint8_t> mask(events_.size());
-  for (std::size_t lane = 0; lane < probs_list.size(); ++lane) {
-    const std::vector<double>& probs = probs_list[lane];
-    DRSM_CHECK(probs.size() == events_.size(),
-               "probability vector does not match the sample space");
-    double sum = 0.0;
-    for (double p : probs) {
-      DRSM_CHECK(p >= -1e-12, "negative event probability");
-      sum += p;
-    }
-    DRSM_CHECK(std::fabs(sum - 1.0) < 1e-9, "probabilities must sum to 1");
-    for (std::size_t e = 0; e < events_.size(); ++e)
-      mask[e] = probs[e] > 0.0 ? 1 : 0;
-    groups[mask].push_back(lane);
-  }
-  tel.groups = groups.size();
-
-  std::vector<double> acc(probs_list.size(), 0.0);
-  for (const auto& [group_mask, lanes] : groups) {
-    // Reachability under this mask — the scalar solve()'s BFS.
-    std::vector<std::uint32_t> reach;
-    std::vector<std::uint32_t> local(transitions_.size(), UINT32_MAX);
-    std::deque<std::uint32_t> frontier;
-    reach.push_back(0);
-    local[0] = 0;
-    frontier.push_back(0);
-    while (!frontier.empty()) {
-      const std::uint32_t s = frontier.front();
-      frontier.pop_front();
-      for (std::size_t e = 0; e < events_.size(); ++e) {
-        if (!group_mask[e]) continue;
-        const std::uint32_t t = transitions_[s][e].next;
-        if (local[t] == UINT32_MAX) {
-          local[t] = static_cast<std::uint32_t>(reach.size());
-          reach.push_back(t);
-          frontier.push_back(t);
-        }
-      }
-    }
-    const std::size_t n = reach.size();
-    tel.max_states = std::max(tel.max_states, n);
-
-    // Emit the triplet sequence once with the emission index as payload
-    // and sort it with CsrMatrix's comparator.  std::sort's permutation is
-    // a pure function of the comparator outcomes, and the (row, col) key
-    // sequence is identical for every lane of the group, so the sorted
-    // emission order reproduces — duplicate by duplicate, addend by addend
-    // — the summation order CsrMatrix applies to each lane's values.
-    std::vector<linalg::Triplet> trip;
-    std::vector<std::uint32_t> emission_event;  // event id per emission
-    trip.reserve(n * events_.size());
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::uint32_t s = reach[r];
-      for (std::size_t e = 0; e < events_.size(); ++e) {
-        if (!group_mask[e]) continue;
-        trip.push_back({r, local[transitions_[s][e].next],
-                        static_cast<double>(emission_event.size())});
-        emission_event.push_back(static_cast<std::uint32_t>(e));
-      }
-    }
-    std::sort(trip.begin(), trip.end(),
-              [](const linalg::Triplet& a, const linalg::Triplet& b) {
-                return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
-
-    // Deduplicate into the shared pattern plus a flattened sum schedule:
-    // nonzero k sums the emissions sum_src[sum_ptr[k] .. sum_ptr[k+1])
-    // left to right, exactly the scalar constructor's loop.
-    linalg::CsrPattern pattern;
-    pattern.rows = pattern.cols = n;
-    pattern.row_ptr.assign(n + 1, 0);
-    std::vector<std::size_t> sum_ptr = {0};
-    std::vector<std::uint32_t> sum_src;
-    sum_src.reserve(trip.size());
-    for (std::size_t i = 0; i < trip.size();) {
-      std::size_t j = i;
-      while (j < trip.size() && trip[j].row == trip[i].row &&
-             trip[j].col == trip[i].col) {
-        sum_src.push_back(static_cast<std::uint32_t>(trip[j].value));
-        ++j;
-      }
-      pattern.col_idx.push_back(trip[i].col);
-      sum_ptr.push_back(sum_src.size());
-      ++pattern.row_ptr[trip[i].row + 1];
-      i = j;
-    }
-    for (std::size_t r = 0; r < n; ++r)
-      pattern.row_ptr[r + 1] += pattern.row_ptr[r];
-
-    // Fill the lane-major SoA value block.
-    const std::size_t lane_count = lanes.size();
-    const std::size_t nnz = pattern.nonzeros();
-    std::vector<double> values(nnz * lane_count);
-    for (std::size_t li = 0; li < lane_count; ++li) {
-      const std::vector<double>& probs = probs_list[lanes[li]];
-      for (std::size_t k = 0; k < nnz; ++k) {
-        double sum = 0.0;
-        for (std::size_t s = sum_ptr[k]; s < sum_ptr[k + 1]; ++s)
-          sum += probs[emission_event[sum_src[s]]];
-        values[k * lane_count + li] = sum;
-      }
-    }
-    linalg::check_stochastic_batch(pattern, values, lane_count);
-
-    linalg::StationaryOptions solver_options;  // scalar defaults, cold start
-    linalg::BatchSolveStats stats;
-    const std::vector<linalg::Vector> pis = linalg::batched_stationary(
-        pattern, values, lane_count, solver_options, &stats);
-    if (stats.direct)
-      tel.direct_lanes += lane_count;
-    else
-      tel.power_iterations += stats.total_iterations;
-
-    // Per-lane acc in the scalar average_cost loop order.
-    for (std::size_t li = 0; li < lane_count; ++li) {
-      const std::vector<double>& probs = probs_list[lanes[li]];
-      const linalg::Vector& pi = pis[li];
-      double lane_acc = 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        const std::uint32_t s = reach[r];
-        double expected = 0.0;
-        for (std::size_t e = 0; e < events_.size(); ++e) {
-          if (probs[e] <= 0.0) continue;
-          expected += probs[e] * transitions_[s][e].cost;
-        }
-        lane_acc += pi[r] * expected;
-      }
-      acc[lanes[li]] = lane_acc;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      telemetry_.solves += lane_count;
-      telemetry_.power_iterations += stats.total_iterations;
-      telemetry_.last = {.states = n,
-                         .iterations = stats.max_iterations,
-                         .residual = 0.0,
-                         .direct = stats.direct,
-                         .warm_started = false};
-    }
-  }
-  if (batch_out != nullptr) *batch_out = tel;
-  return acc;
-}
-
 double ProtocolChain::average_cost(const std::vector<double>& probs) const {
   const SolveResult sol = solve(probs);
   double acc = 0.0;
@@ -364,8 +212,7 @@ std::vector<double> ProtocolChain::event_cost_shares(
 
 std::vector<double> ProtocolChain::transient_costs(
     const std::vector<double>& probs, std::size_t ops) const {
-  DRSM_CHECK(probs.size() == events_.size(),
-             "probability vector does not match the sample space");
+  check_probabilities(probs);
   // Expected cost of one operation from each state.
   std::vector<double> step_cost(transitions_.size(), 0.0);
   for (std::size_t s = 0; s < transitions_.size(); ++s)

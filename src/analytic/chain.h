@@ -22,7 +22,8 @@
 //
 // The chain is built once per (protocol, system, sample-space *structure*)
 // and can be re-solved for any probability assignment — grid sweeps for the
-// figure benchmarks reuse one chain per surface.
+// figure benchmarks reuse one chain per surface, one solve per cell.  Every
+// query validates its probability vector first (check_probabilities).
 //
 // Enumeration avoids the original per-transition deep copy of the whole
 // runtime: states are re-materialized from their byte keys into a single
@@ -31,9 +32,11 @@
 // warm-started from the last stationary vector computed for the same
 // positive-probability event mask, which cuts power iterations on the
 // smooth parameter sweeps of the figure benchmarks.  Solving is
-// thread-safe (telemetry and the warm-start cache are mutex-guarded), but
-// note that warm starts make the *iteration counts* — not the results —
-// depend on solve order.
+// thread-safe (telemetry and the warm-start cache are mutex-guarded).
+// Chains small enough for the LU path (linalg::StationaryOptions::
+// direct_limit) ignore the seed, so their results do not depend on solve
+// order; on the power path warm starts move the iteration counts, and the
+// result within the solver's tolerance.
 #pragma once
 
 #include <cstdint>
@@ -59,27 +62,6 @@ class ProtocolChain {
   /// Steady-state average communication cost per operation for the given
   /// event probabilities (aligned with spec.events; must sum to 1).
   double average_cost(const std::vector<double>& probabilities) const;
-
-  /// How a batched solve decomposed (the analytic.batch_* metrics).
-  struct BatchTelemetry {
-    std::size_t lanes = 0;             // probability assignments solved
-    std::size_t groups = 0;            // distinct positive-probability masks
-    std::size_t direct_lanes = 0;      // lanes solved by the LU path
-    std::size_t power_iterations = 0;  // summed over power-path lanes
-    std::size_t max_states = 0;        // largest reachable set of any group
-  };
-
-  /// average_cost for a whole batch of probability assignments in one
-  /// call.  Lanes are grouped by positive-probability event mask; each
-  /// group shares one reachability pass and one transition structure and
-  /// is handed to linalg::batched_stationary as a lane-major SoA value
-  /// block.  Element i is bit-for-bit what average_cost(probabilities[i])
-  /// returns on a freshly built chain (cold start — the batch neither
-  /// reads nor seeds the warm-start cache, so results do not depend on
-  /// solve order).
-  std::vector<double> average_cost_batch(
-      const std::vector<std::vector<double>>& probabilities,
-      BatchTelemetry* batch = nullptr) const;
 
   /// Convenience overload using the probabilities stored in the spec.
   double average_cost() const;
@@ -149,6 +131,9 @@ class ProtocolChain {
     std::vector<std::uint32_t> reachable;  // chain-state indices
     linalg::Vector pi;                     // aligned with `reachable`
   };
+  /// Throws drsm::Error unless `probabilities` matches the sample space,
+  /// has no entry below -1e-12 and sums to 1 within 1e-9.
+  void check_probabilities(const std::vector<double>& probabilities) const;
   SolveResult solve(const std::vector<double>& probabilities) const;
 
   std::vector<workload::EventSpec> events_;

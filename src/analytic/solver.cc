@@ -1,7 +1,6 @@
 #include "analytic/solver.h"
 
 #include <chrono>
-#include <map>
 
 #include "support/error.h"
 #include "support/hash.h"
@@ -43,9 +42,8 @@ bool AccSolver::matches(const Entry& entry, protocols::ProtocolKind kind,
 const ProtocolChain& AccSolver::chain(protocols::ProtocolKind kind,
                                       const workload::WorkloadSpec& spec) {
   const std::uint64_t hash = chain_hash(kind, spec);
-  Shard& shard = shards_[hash & (kNumShards - 1)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  for (const Entry& entry : shard.entries)
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (const Entry& entry : entries_)
     if (entry.hash == hash && matches(entry, kind, spec))
       return *entry.chain;
 
@@ -57,8 +55,8 @@ const ProtocolChain& AccSolver::chain(protocols::ProtocolKind kind,
   for (const auto& e : spec.events)
     entry.signature.emplace_back(e.node, static_cast<int>(e.op));
   entry.chain = std::make_unique<ProtocolChain>(kind, config_, spec);
-  shard.entries.push_back(std::move(entry));
-  const ProtocolChain& built = *shard.entries.back().chain;
+  entries_.push_back(std::move(entry));
+  const ProtocolChain& built = *entries_.back().chain;
 
   {
     std::lock_guard<std::mutex> metrics_lock(metrics_mutex_);
@@ -92,48 +90,6 @@ double AccSolver::acc(protocols::ProtocolKind kind,
     }
   }
   return result;
-}
-
-std::vector<double> AccSolver::acc_batch(
-    protocols::ProtocolKind kind,
-    const std::vector<workload::WorkloadSpec>& specs) {
-  std::vector<double> out(specs.size(), 0.0);
-  // Group cells by chain-cache key; each group shares one chain and one
-  // batched solve.  std::map keeps group order deterministic.
-  std::map<std::uint64_t, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    groups[chain_hash(kind, specs[i])].push_back(i);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t total_groups = 0;
-  std::size_t total_direct = 0;
-  std::size_t total_power_iterations = 0;
-  for (const auto& [hash, cells] : groups) {
-    const ProtocolChain& c = chain(kind, specs[cells.front()]);
-    std::vector<std::vector<double>> probs;
-    probs.reserve(cells.size());
-    for (std::size_t cell : cells)
-      probs.push_back(specs[cell].probabilities());
-    ProtocolChain::BatchTelemetry tel;
-    const std::vector<double> acc = c.average_cost_batch(probs, &tel);
-    for (std::size_t i = 0; i < cells.size(); ++i) out[cells[i]] = acc[i];
-    total_groups += tel.groups;
-    total_direct += tel.direct_lanes;
-    total_power_iterations += tel.power_iterations;
-  }
-  {
-    std::lock_guard<std::mutex> metrics_lock(metrics_mutex_);
-    if (metrics_ != nullptr) {
-      metrics_->counter("analytic.batch_solves").inc();
-      metrics_->counter("analytic.batch_lanes").inc(specs.size());
-      metrics_->counter("analytic.batch_groups").inc(total_groups);
-      metrics_->counter("analytic.batch_direct_lanes").inc(total_direct);
-      metrics_->counter("analytic.batch_power_iterations")
-          .inc(total_power_iterations);
-      metrics_->quantile("analytic.batch_solve_ms").record(ms_since(start));
-    }
-  }
-  return out;
 }
 
 AccSolver::Choice AccSolver::best_protocol(

@@ -1,16 +1,16 @@
 // High-level entry point for analytic predictions: caches ProtocolChains
 // per (protocol, sample-space structure) so parameter sweeps re-solve the
 // same chain with new probabilities instead of re-enumerating state spaces.
+// A grid is priced by calling acc() once per cell.
 //
-// The cache is a sharded hash table keyed by a 64-bit hash of the
-// (protocol, event-structure) pair: a lookup streams the hash straight off
-// the spec's events — no per-call key materialization — and touches the
-// stored signature only on a hash match (collision verification).  Each
-// shard carries its own mutex, so concurrent sweep tasks sharing one
-// solver serialize only when they hit the same shard.
+// The cache is one mutex-guarded list of entries, each tagged with a 64-bit
+// hash of the (protocol, event-structure) pair: a lookup streams the hash
+// straight off the spec's events — no per-call key materialization — and
+// touches the stored signature only on a hash match (collision
+// verification).  Threads sharing one solver serialize on the cache lookup
+// (and on a chain build) but solve concurrently.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,16 +39,6 @@ class AccSolver {
   /// Thread-safe; concurrent calls share cached chains.
   double acc(protocols::ProtocolKind kind, const workload::WorkloadSpec& spec);
 
-  /// acc() for a whole grid of workloads in one call.  Specs are grouped
-  /// by sample-space structure (the chain-cache key), each group's chain
-  /// is built or fetched once, and the group's probability vectors are
-  /// solved by the batched SoA kernel.  Element i is bit-for-bit the value
-  /// a fresh solver's acc(kind, specs[i]) returns (cold solves — results
-  /// do not depend on the order of cells within the batch).  Publishes
-  /// analytic.batch_* metrics when a registry is attached.
-  std::vector<double> acc_batch(protocols::ProtocolKind kind,
-                                const std::vector<workload::WorkloadSpec>& specs);
-
   /// The cached chain for this (protocol, sample-space structure).  The
   /// reference stays valid for the solver's lifetime.
   const ProtocolChain& chain(protocols::ProtocolKind kind,
@@ -76,19 +66,14 @@ class AccSolver {
     std::vector<std::pair<NodeId, int>> signature;
     std::unique_ptr<ProtocolChain> chain;
   };
-  struct Shard {
-    std::mutex mutex;
-    std::vector<Entry> entries;
-  };
-  static constexpr std::size_t kNumShards = 8;
-
   static std::uint64_t chain_hash(protocols::ProtocolKind kind,
                                   const workload::WorkloadSpec& spec);
   static bool matches(const Entry& entry, protocols::ProtocolKind kind,
                       const workload::WorkloadSpec& spec);
 
   sim::SystemConfig config_;
-  std::array<Shard, kNumShards> shards_;
+  std::mutex cache_mutex_;  // guards entries_
+  std::vector<Entry> entries_;
   std::mutex metrics_mutex_;  // guards metrics_ and all publication into it
   obs::MetricsRegistry* metrics_ = nullptr;
 };

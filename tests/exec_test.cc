@@ -143,6 +143,54 @@ TEST(SweepRunner, AnalyticSweepBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// One AccSolver shared by every caller, as bench_table7 prices its grid,
+// must return a fresh solver's bits for every cell whatever the order of
+// the calls and however many threads make them.  The grid is Table 7's
+// (N=3, a=2), all eight protocols, read and write disturbance.  The
+// threaded pass runs first, so its workers also build the chains
+// concurrently; the serial passes then reuse them forward and reversed.
+TEST(SweepRunner, SharedSolverMatchesFreshSolversOnTable7Grid) {
+  const sim::SystemConfig config{3, {100.0, 30.0}, 1};
+  constexpr std::size_t kA = 2;
+  const std::vector<double> grid = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
+  struct Cell {
+    ProtocolKind kind;
+    workload::WorkloadSpec spec;
+    double fresh;
+  };
+  std::vector<Cell> cells;
+  for (ProtocolKind kind : protocols::kAllProtocols) {
+    for (bool read_family : {true, false}) {
+      for (double p : grid) {
+        for (double sigma : grid) {
+          if (p + static_cast<double>(kA) * sigma > 1.0 + 1e-12) continue;
+          workload::WorkloadSpec spec =
+              read_family ? workload::read_disturbance(p, sigma, kA)
+                          : workload::write_disturbance(p, sigma, kA);
+          analytic::AccSolver fresh(config);
+          const double acc = fresh.acc(kind, spec);
+          cells.push_back({kind, std::move(spec), acc});
+        }
+      }
+    }
+  }
+  ASSERT_EQ(cells.size(), protocols::kAllProtocols.size() * 2 * 12);
+
+  analytic::AccSolver shared(config);
+  exec::ThreadPool pool(4);
+  const std::vector<double> threaded = pool.parallel_map<double>(
+      cells.size(),
+      [&](std::size_t i) { return shared.acc(cells[i].kind, cells[i].spec); });
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    EXPECT_EQ(threaded[i], cells[i].fresh) << "threaded, cell " << i;
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    EXPECT_EQ(shared.acc(cells[i].kind, cells[i].spec), cells[i].fresh)
+        << "forward, cell " << i;
+  for (std::size_t i = cells.size(); i-- > 0;)
+    EXPECT_EQ(shared.acc(cells[i].kind, cells[i].spec), cells[i].fresh)
+        << "reversed, cell " << i;
+}
+
 TEST(SweepRunner, SimulationSweepBitIdenticalAcrossThreadCounts) {
   const auto spec = workload::read_disturbance(0.2, 0.05, 2);
   auto sweep = [&](std::size_t threads) {

@@ -7,6 +7,7 @@
 
 #include "analytic/chain.h"
 #include "analytic/closed_form.h"
+#include "support/error.h"
 #include "workload/spec.h"
 
 namespace drsm {
@@ -95,6 +96,30 @@ TEST(Transient, PaperWarmupCutIsGenerous) {
           << protocols::to_string(kind) << " p=" << p;
     }
   }
+}
+
+TEST(Transient, RejectsInvalidProbabilities) {
+  // The transient queries check their probabilities as the stationary
+  // ones do: a vector summing to 3 would otherwise grow the expected cost
+  // geometrically, and a negative entry would be taken as it stands.
+  const auto spec = workload::read_disturbance(0.3, 0.1, 2);
+  ProtocolChain chain(ProtocolKind::kWriteThrough,
+                      make_config(3, 100.0, 30.0), spec);
+  const auto probs = spec.probabilities();
+  ASSERT_GE(probs.size(), 2u);
+
+  std::vector<double> tripled = probs;
+  for (double& p : tripled) p *= 3.0;
+  EXPECT_THROW(chain.transient_costs(tripled, 50), Error);
+  EXPECT_THROW(chain.average_cost(tripled), Error);
+
+  std::vector<double> negative = probs;  // still sums to 1
+  negative[1] += negative[0] + 0.1;
+  negative[0] = -0.1;
+  EXPECT_THROW(chain.transient_costs(negative, 50), Error);
+  EXPECT_THROW(chain.average_cost(negative), Error);
+
+  EXPECT_NO_THROW(chain.transient_costs(probs, 50));
 }
 
 }  // namespace
