@@ -56,10 +56,6 @@ constexpr double kReadRatio = 0.9;
 // Env-overridable for regime exploration: DRSM_BENCH_RUNTIME_RING/BATCH.
 std::size_t g_ring_capacity = 64;
 std::size_t g_max_batch = 64;
-// One yield before parking measured best on a single hardware thread,
-// where every extra spinning shard steals the producers' quantum; the
-// library default (4) favors multi-core.  DRSM_BENCH_RUNTIME_SPINS.
-std::size_t g_idle_spins = 1;
 constexpr std::size_t kWindow = 4096;
 
 struct SweepPoint {
@@ -101,7 +97,6 @@ SweepPoint run_concurrent(ProtocolKind kind, std::size_t sessions,
   options.num_shards = shards;
   options.ring_capacity = g_ring_capacity;
   options.max_batch = g_max_batch;
-  options.idle_spins = g_idle_spins;
   options.max_inflight = window;
   if (oracle != nullptr)
     for (std::size_t s = 0; s < shards; ++s)
@@ -205,8 +200,6 @@ int main() {
     g_ring_capacity = static_cast<std::size_t>(std::atoll(env));
   if (const char* env = std::getenv("DRSM_BENCH_RUNTIME_BATCH"))
     g_max_batch = static_cast<std::size_t>(std::atoll(env));
-  if (const char* env = std::getenv("DRSM_BENCH_RUNTIME_SPINS"))
-    g_idle_spins = static_cast<std::size_t>(std::atoll(env));
 
   std::printf(
       "Concurrent sharded DSM runtime (M=%zu objects, Zipf %.2f, "

@@ -14,7 +14,9 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # The concurrency label (MPSC ring, sharded concurrent runtime, protocol
 # race suite, live-migration stress) once more under ThreadSanitizer
 # (skipped with DRSM_SKIP_TSAN=1, e.g. on hosts without TSan runtime
-# support).  migration_stress_test exercises the
+# support).  mpsc_ring_test's park/wake storm and concurrent_runtime_test's
+# stop() race check the ring's parking handshake and its closed bit; each
+# ends a hung run through a watchdog.  migration_stress_test exercises the
 # drain/fence/switch/seed handoff and the OnlineController's ring + stats
 # pipeline with real client threads — the racy half of the migration
 # world (tests labeled both `migration` and `concurrency`).

@@ -77,12 +77,7 @@ void OnlineController::run() {
     }
     if (n != 0) continue;
     if (stop_.load(std::memory_order_acquire)) break;
-    const std::uint32_t ticket = ring_.prepare_wait();
-    if (ring_.can_pop() || stop_.load(std::memory_order_acquire)) {
-      ring_.cancel_wait();
-      continue;
-    }
-    ring_.wait(ticket);
+    ring_.park(&stop_);  // record() and stop()'s poke() wake it
   }
 }
 

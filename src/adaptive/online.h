@@ -72,9 +72,8 @@ class OnlineController {
 
   /// One completed application operation (any thread; typically called
   /// from a session's grant handler).  Never blocks: a full ring drops
-  /// the record and counts it.  The push must notify — the controller
-  /// thread parks on the ring's gate when idle, and a silent push would
-  /// leave it parked until stop() while the ring fills and drops.
+  /// the record and counts it.  The controller thread parks on the ring
+  /// when idle; the push whose claim finds it parked wakes it.
   void record(NodeId node, ObjectId object, fsm::OpKind op) {
     if (!ring_.try_push(Record{node, object, op}))
       dropped_.fetch_add(1, std::memory_order_relaxed);

@@ -126,7 +126,7 @@ ProtocolChain::SolveResult ProtocolChain::solve(
   SolveResult out;
   out.reachable = std::move(reach);
   linalg::StationaryOptions solver_options;
-  linalg::SolveStats solve_stats;
+  linalg::SolveStats& solve_stats = out.stats;
   solver_options.stats = &solve_stats;
 
   // Warm-start the power iteration from the last stationary vector solved
@@ -157,8 +157,10 @@ ProtocolChain::SolveResult ProtocolChain::solve(
   return out;
 }
 
-double ProtocolChain::average_cost(const std::vector<double>& probs) const {
+double ProtocolChain::average_cost(const std::vector<double>& probs,
+                                   linalg::SolveStats* stats) const {
   const SolveResult sol = solve(probs);
+  if (stats != nullptr) *stats = sol.stats;
   double acc = 0.0;
   for (std::size_t r = 0; r < sol.reachable.size(); ++r) {
     const std::uint32_t s = sol.reachable[r];

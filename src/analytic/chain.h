@@ -60,8 +60,12 @@ class ProtocolChain {
                 const workload::WorkloadSpec& spec);
 
   /// Steady-state average communication cost per operation for the given
-  /// event probabilities (aligned with spec.events; must sum to 1).
-  double average_cost(const std::vector<double>& probabilities) const;
+  /// event probabilities (aligned with spec.events; must sum to 1).  When
+  /// `stats` is set it receives this call's own solve statistics, which
+  /// telemetry().last only holds until another thread's solve replaces
+  /// them.
+  double average_cost(const std::vector<double>& probabilities,
+                      linalg::SolveStats* stats = nullptr) const;
 
   /// Convenience overload using the probabilities stored in the spec.
   double average_cost() const;
@@ -130,6 +134,7 @@ class ProtocolChain {
   struct SolveResult {
     std::vector<std::uint32_t> reachable;  // chain-state indices
     linalg::Vector pi;                     // aligned with `reachable`
+    linalg::SolveStats stats;              // this solve's statistics
   };
   /// Throws drsm::Error unless `probabilities` matches the sample space,
   /// has no entry below -1e-12 and sums to 1 within 1e-9.

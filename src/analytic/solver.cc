@@ -73,19 +73,19 @@ double AccSolver::acc(protocols::ProtocolKind kind,
                       const workload::WorkloadSpec& spec) {
   const ProtocolChain& c = chain(kind, spec);
   const auto start = std::chrono::steady_clock::now();
-  const double result = c.average_cost(spec.probabilities());
+  // This call's own statistics: the chain's telemetry().last may already
+  // hold another thread's solve.
+  linalg::SolveStats stats;
+  const double result = c.average_cost(spec.probabilities(), &stats);
   {
     std::lock_guard<std::mutex> metrics_lock(metrics_mutex_);
     if (metrics_ != nullptr) {
-      const ProtocolChain::SolveTelemetry telemetry = c.telemetry();
       metrics_->counter("analytic.solves").inc();
-      metrics_->counter("analytic.power_iterations")
-          .inc(telemetry.last.iterations);
-      if (telemetry.last.warm_started)
-        metrics_->counter("analytic.warm_starts").inc();
-      metrics_->gauge("analytic.last_residual").set(telemetry.last.residual);
+      metrics_->counter("analytic.power_iterations").inc(stats.iterations);
+      if (stats.warm_started) metrics_->counter("analytic.warm_starts").inc();
+      metrics_->gauge("analytic.last_residual").set(stats.residual);
       metrics_->gauge("analytic.last_solve_states")
-          .set(static_cast<double>(telemetry.last.states));
+          .set(static_cast<double>(stats.states));
       metrics_->quantile("analytic.solve_ms").record(ms_since(start));
     }
   }

@@ -77,8 +77,6 @@ std::uint64_t ConcurrentSharedMemory::Session::submit(fsm::OpKind op,
   DRSM_CHECK(object < owner_.options_.num_objects, "object id out of range");
   DRSM_CHECK(protocols::supports(owner_.options_.protocol, op),
              "operation not supported by this protocol");
-  // A stopped shard never grants again: the ticket would hang drain().
-  if (owner_.stopped()) [[unlikely]] throw_stopped("submit");
   // Window backpressure: pump completions; park only when none are ready.
   while (in_flight_ >= owner_.options_.max_inflight) {
     if (pump() == 0) {
@@ -91,20 +89,22 @@ std::uint64_t ConcurrentSharedMemory::Session::submit(fsm::OpKind op,
   request.node = node_;
   request.object = object;
   request.value = value;
-  request.ticket = ++issued_;
+  request.ticket = issued_ + 1;
   request.issue_ns =
-      issued_ % latency_sample_every_ == 0 ? now_ns() : 0;
+      request.ticket % latency_sample_every_ == 0 ? now_ns() : 0;
   request.reply = &grants_;
-  request.reply_gate = &gate_;
   sim::SequencerShard& shard =
       *owner_.shards_[sim::shard_of(object, owner_.shards_.size())];
-  ++in_flight_;
   // Ring backpressure: keep draining our own grants so the shard always
   // has somewhere to publish completions; never park holding a request.
+  // A closed ring never grants again: the ticket would hang drain().
   while (!shard.try_submit(request)) {
+    if (shard.closed()) [[unlikely]] throw_stopped("submit");
     ++submit_stalls_;
     if (pump() == 0) std::this_thread::yield();
   }
+  issued_ = request.ticket;
+  ++in_flight_;
   return request.ticket;
 }
 
@@ -137,12 +137,7 @@ std::size_t ConcurrentSharedMemory::Session::pump() {
 }
 
 void ConcurrentSharedMemory::Session::park() {
-  const std::uint32_t ticket = gate_.prepare_wait();
-  if (grants_.can_pop()) {
-    gate_.cancel_wait();
-    return;
-  }
-  gate_.wait(ticket);
+  if (!grants_.spin_for_data()) grants_.park();
 }
 
 void ConcurrentSharedMemory::Session::drain() {
@@ -183,7 +178,6 @@ ConcurrentSharedMemory::ConcurrentSharedMemory(const Options& options)
     shard_options.objects = std::move(owned[s]);
     shard_options.ring_capacity = options_.ring_capacity;
     shard_options.max_batch = options_.max_batch;
-    shard_options.idle_spins = options_.idle_spins;
     shard_options.tap =
         options_.shard_taps.empty() ? nullptr : options_.shard_taps[s];
     shards_.push_back(std::make_unique<sim::SequencerShard>(shard_options));
@@ -209,14 +203,16 @@ ConcurrentSharedMemory::Session& ConcurrentSharedMemory::session(
 void ConcurrentSharedMemory::migrate(ObjectId object,
                                      protocols::ProtocolKind to) {
   DRSM_CHECK(object < options_.num_objects, "object id out of range");
-  if (stopped()) throw_stopped("migrate");
   sim::ShardRequest request;
   request.kind = sim::ShardRequest::Kind::kMigrate;
   request.object = object;
   request.migrate_to = to;
   sim::SequencerShard& shard =
       *shards_[sim::shard_of(object, shards_.size())];
-  while (!shard.try_submit(request)) std::this_thread::yield();
+  while (!shard.try_submit(request)) {
+    if (shard.closed()) throw_stopped("migrate");
+    std::this_thread::yield();
+  }
 }
 
 protocols::ProtocolKind ConcurrentSharedMemory::object_protocol(

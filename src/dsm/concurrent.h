@@ -12,8 +12,11 @@
 //     thread that uses it (its grant ring's consumer);
 //   * submit: session -> shard request ring (lock-free, bounded; a full
 //     ring is backpressure — the session pumps its grants and retries);
-//   * complete: shard -> session grant ring, one wake per session per
-//     drained batch;
+//   * complete: shard -> session grant ring, one claim per session per
+//     drained batch, which wakes the session only if it had parked;
+//   * idle: a session waiting for grants and a shard waiting for requests
+//     both poll for about one park/wake round trip, then park on their
+//     ring's tail word (see sim/mpsc_ring.h);
 //   * ordering: a session's operations on one object complete in issue
 //     order (ring FIFO per producer + in-order shard processing); an
 //     operation on an object is atomic (the shard runs it to protocol
@@ -57,9 +60,6 @@ class ConcurrentSharedMemory {
     std::size_t ring_capacity = 4096;
     /// K: max requests a shard drains per wakeup.
     std::size_t max_batch = 256;
-    /// Empty-ring yield-spins before a shard futex-parks (see
-    /// sim::SequencerShard::Options::idle_spins).
-    std::size_t idle_spins = 4;
     /// W: per-session operation window (grant rings are sized to hold it).
     std::size_t max_inflight = 1024;
     /// Latency is sampled every k-th operation per session (1 = all).
@@ -84,8 +84,11 @@ class ConcurrentSharedMemory {
    public:
     /// Asynchronous issues; each returns the session-local ticket that
     /// will come back on the grant.  Blocks only when the window is full
-    /// (pumping grants while it waits).  Each throws drsm::Error once
-    /// stop() has run: no shard would ever grant the ticket.
+    /// (pumping grants while it waits).  Each throws drsm::Error when
+    /// stop() has closed the target shard's request ring, since no shard
+    /// would grant the ticket; a rejected issue takes no ticket, so
+    /// issued() and in_flight() do not count it (in_flight() still drops
+    /// by any grants pumped while the window was full).
     std::uint64_t read(ObjectId object);
     std::uint64_t write(ObjectId object, std::uint64_t value);
     /// write() with a runtime-stamped globally unique value — what the
@@ -138,7 +141,6 @@ class ConcurrentSharedMemory {
     ConcurrentSharedMemory& owner_;
     NodeId node_;
     sim::GrantRing grants_;
-    sim::EventGate gate_;
     std::size_t latency_sample_every_;
     Session::GrantHandler handler_;
     std::size_t in_flight_ = 0;
@@ -164,16 +166,22 @@ class ConcurrentSharedMemory {
   /// (sim::SequentialRuntime::migrate re-seeds the latest write), so an
   /// attached coherence oracle referees straight through the migration.
   /// Spins (yielding) while the ring is full; holds no grants, so the
-  /// shard can always drain toward it.  Throws drsm::Error once stop()
-  /// has run.
+  /// shard can always drain toward it.  Throws drsm::Error when stop()
+  /// has closed the owning shard's ring.
   void migrate(ObjectId object, protocols::ProtocolKind to);
 
   /// The protocol `object` currently runs.  Only stable after stop() or
   /// while no migration of this object is in flight.
   protocols::ProtocolKind object_protocol(ObjectId object) const;
 
-  /// Stops the shard event loops (sessions must be drained first) and
-  /// publishes runtime.* metrics.  Idempotent; the destructor calls it.
+  /// Stops the shard event loops and publishes runtime.* metrics.
+  /// Idempotent; the destructor calls it.  It may race sessions that are
+  /// still issuing: each shard closes its request ring and executes and
+  /// grants every request claimed before the close, so drain() returns;
+  /// every later issue throws drsm::Error instead of handing out a ticket
+  /// no shard would grant.  stats(), and so the metrics publication when
+  /// Options::metrics is set, reads the sessions' own counters: call them
+  /// once the sessions are done.
   void stop();
 
   /// True once a step on any shard threw; error() is then that
@@ -215,8 +223,6 @@ class ConcurrentSharedMemory {
 
  private:
   friend class Session;
-
-  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
   Options options_;
   std::vector<std::unique_ptr<sim::SequencerShard>> shards_;

@@ -77,14 +77,13 @@ std::size_t SequencerShard::local_index(ObjectId object) const {
 
 void SequencerShard::start() {
   DRSM_CHECK(!thread_.joinable(), "shard already started");
-  stop_.store(false, std::memory_order_release);
+  DRSM_CHECK(!ring_.closed(), "a stopped shard does not restart");
   thread_ = std::thread([this] { run(); });
 }
 
 void SequencerShard::stop() {
+  ring_.close();
   if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
-  ring_.poke();
   thread_.join();
   stats_.ring_full_stalls = ring_.full_stalls();
 }
@@ -141,52 +140,49 @@ void SequencerShard::handle(const ShardRequest& request) {
     }
   }
   ++stats_.ops;
-  // The session window bounds grant-ring occupancy, so this only spins if
-  // a session consumed grants without decrementing its window (a bug).
-  while (!request.reply->try_push(grant, /*silent=*/true))
-    std::this_thread::yield();
+  stage(request.reply, grant);
+}
+
+void SequencerShard::stage(GrantRing* ring, const ShardGrant& grant) {
+  for (Outbox& outbox : outboxes_) {
+    if (outbox.ring == ring) {
+      outbox.grants.push_back(grant);
+      return;
+    }
+  }
+  outboxes_.push_back({ring, {grant}});
+}
+
+void SequencerShard::publish_grants() {
+  for (Outbox& outbox : outboxes_) {
+    if (outbox.grants.empty()) continue;
+    // The session window bounds grant-ring occupancy, so this only spins
+    // if a session consumed grants without decrementing its window (a
+    // bug).  One claim per session per batch; it wakes the session if it
+    // had parked.
+    while (!outbox.ring->try_push_batch(outbox.grants.data(),
+                                        outbox.grants.size()))
+      std::this_thread::yield();
+    outbox.grants.clear();
+  }
 }
 
 void SequencerShard::run() {
   std::vector<ShardRequest> batch(options_.max_batch);
-  std::vector<EventGate*> dirty;
-  dirty.reserve(16);
-  std::size_t idle_spins_left = options_.idle_spins;
   for (;;) {
     const std::size_t n = ring_.pop_batch(batch.data(), options_.max_batch);
     if (n == 0) {
-      if (stop_.load(std::memory_order_acquire)) {
-        if (!ring_.can_pop()) break;  // fully drained
-        continue;
-      }
-      if (idle_spins_left > 0) {
-        --idle_spins_left;
+      if (ring_.drained()) break;  // closed, every earlier claim executed
+      if (ring_.spin_for_data())
         ++stats_.idle_yields;
-        std::this_thread::yield();
-        continue;
-      }
-      const std::uint32_t ticket = ring_.prepare_wait();
-      if (ring_.can_pop() || stop_.load(std::memory_order_acquire)) {
-        ring_.cancel_wait();
-        continue;
-      }
-      ++stats_.parks;
-      ring_.wait(ticket);
+      else if (ring_.park())
+        ++stats_.parks;
       continue;
     }
-    dirty.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      handle(batch[i]);
-      EventGate* gate = batch[i].reply_gate;
-      if (gate != nullptr &&
-          std::find(dirty.begin(), dirty.end(), gate) == dirty.end())
-        dirty.push_back(gate);
-    }
-    // One wake per session per batch, after all its grants are published.
-    for (EventGate* gate : dirty) gate->notify();
+    for (std::size_t i = 0; i < n; ++i) handle(batch[i]);
+    publish_grants();
     ++stats_.batches;
     stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, n);
-    idle_spins_left = options_.idle_spins;  // fresh budget after real work
   }
 }
 

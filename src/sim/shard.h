@@ -9,13 +9,20 @@
 //   SequentialRuntime::execute (atomic, run-to-quiescence) ──▶
 //   MpscRing<ShardGrant> back to the issuing session.
 //
-// Each wakeup drains up to max_batch requests, executes them back to
-// back (amortizing the park/unpark and dispatch overhead), then wakes
-// every session that received grants exactly once.  Per-object operation
-// order inside a shard is the request-ring order, which preserves each
-// producer's program order (see mpsc_ring.h) — this is what lets the
-// coherence oracle referee a live run in its strict kSequential mode, per
-// object, without any cross-shard synchronization.
+// Each wakeup drains up to max_batch requests and executes them back to
+// back (amortizing the park/unpark and dispatch overhead), staging each
+// grant in an outbox per reply ring; it then publishes each outbox with
+// one claim on that session's grant ring (MpscRing::try_push_batch),
+// which wakes the session at most once, and only if it was parked.  An
+// idle loop polls for about one park/wake round trip, then parks on the
+// request ring's tail word (see mpsc_ring.h).  stop() closes the request
+// ring: later claims fail, and the loop exits once it has executed every
+// claim made before the close.
+//
+// Per-object operation order inside a shard is the request-ring order,
+// which preserves each producer's program order (see mpsc_ring.h) — this
+// is what lets the coherence oracle referee a live run in its strict
+// kSequential mode, per object, without any cross-shard synchronization.
 //
 // A coherence tap attached to a shard observes all of the shard's objects
 // through one sim::CoherenceTap; the shard relabels the per-runtime
@@ -69,8 +76,8 @@ struct ShardRequest {
   /// runtime to `migrate_to` (SequentialRuntime::migrate) in ring order —
   /// requests ahead of it run under the old protocol, requests behind it
   /// under the new one, and the per-object history stays sequential across
-  /// the switch.  Migrations carry no reply: `reply`/`reply_gate` stay
-  /// null and no grant is published.
+  /// the switch.  Migrations carry no reply: `reply` stays null and no
+  /// grant is published.
   enum class Kind : std::uint8_t { kOp, kMigrate };
   Kind kind = Kind::kOp;
   fsm::OpKind op = fsm::OpKind::kRead;
@@ -81,9 +88,8 @@ struct ShardRequest {
   std::uint64_t issue_ns = 0;
   protocols::ProtocolKind migrate_to =
       protocols::ProtocolKind::kWriteThrough;  // kMigrate only
-  GrantRing* reply = nullptr;       // session grant ring (never full: the
-                                    // session window bounds occupancy)
-  EventGate* reply_gate = nullptr;  // session park gate, woken per batch
+  GrantRing* reply = nullptr;  // session grant ring (never full: the
+                               // session window bounds occupancy)
 };
 
 /// One sequencer shard: request ring + dedicated batched event loop.
@@ -97,11 +103,6 @@ class SequencerShard {
     std::vector<ObjectId> objects;     // global ids this shard owns
     std::size_t ring_capacity = 4096;  // request ring (backpressure knob)
     std::size_t max_batch = 256;       // K: requests drained per wakeup
-    /// Yield-spins on an empty ring before futex-parking.  Producers are
-    /// usually one scheduler quantum away from refilling the ring, so a
-    /// yield is much cheaper than a park/notify round trip; only a
-    /// genuinely idle shard pays the futex.
-    std::size_t idle_spins = 4;
     CoherenceTap* tap = nullptr;       // live referee (optional)
   };
 
@@ -111,16 +112,21 @@ class SequencerShard {
   SequencerShard(const SequencerShard&) = delete;
   SequencerShard& operator=(const SequencerShard&) = delete;
 
+  /// Starts the loop; a shard runs once (stop() closes its ring for good).
   void start();
-  /// Asks the loop to exit once the ring is drained, then joins.
+  /// Closes the request ring, lets the loop execute every request claimed
+  /// before the close, then joins.  Idempotent.
   void stop();
 
-  /// Producer side (any thread): false when the ring is full — the caller
-  /// pumps its grant ring and retries (never parks holding work, so the
-  /// shard can always drain toward it).
+  /// Producer side (any thread): false when the ring is full or closed.
+  /// On a full ring the caller pumps its grant ring and retries (never
+  /// parks holding work, so the shard can always drain toward it); on a
+  /// closed one (closed()) the request will never run.
   bool try_submit(const ShardRequest& request) {
     return ring_.try_push(request);
   }
+  /// stop() has closed the request ring: every later submit fails.
+  bool closed() const { return ring_.closed(); }
 
   /// Any exception thrown by a step of the loop (a protocol invariant, a
   /// tap, an allocation) stops the shard's execution and is reported here.
@@ -138,7 +144,7 @@ class SequencerShard {
     std::uint64_t batches = 0;       // non-empty wakeup drains
     std::uint64_t max_batch = 0;     // largest single drain
     std::uint64_t parks = 0;         // times the loop futex-slept on empty
-    std::uint64_t idle_yields = 0;   // empty-ring yields that avoided a park
+    std::uint64_t idle_yields = 0;   // idle spins that found work (no park)
     std::uint64_t ring_full_stalls = 0;  // producer backpressure events
   };
   const Stats& stats() const { return stats_; }
@@ -153,8 +159,16 @@ class SequencerShard {
  private:
   class Relabel;
 
+  /// Grants of the current batch bound for one reply ring.
+  struct Outbox {
+    GrantRing* ring = nullptr;
+    std::vector<ShardGrant> grants;
+  };
+
   void run();
   void handle(const ShardRequest& request);
+  void stage(GrantRing* ring, const ShardGrant& grant);
+  void publish_grants();
   void fail(const std::exception& e);
   std::size_t local_index(ObjectId object) const;
 
@@ -164,8 +178,8 @@ class SequencerShard {
   std::vector<ObjectId> local_of_;  // global object -> local idx (dense)
 
   MpscRing<ShardRequest> ring_;
+  std::vector<Outbox> outboxes_;  // one per reply ring seen (shard thread)
   std::thread thread_;
-  std::atomic<bool> stop_{false};
   std::atomic<bool> failed_{false};
   std::string error_;
   Stats stats_;

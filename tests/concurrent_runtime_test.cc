@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,7 @@
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/trajectory.h"
+#include "watchdog.h"
 #include "workload/generator.h"
 
 namespace drsm::dsm {
@@ -526,6 +528,73 @@ TEST(ConcurrentRuntimeTest, StoppedRuntimeRejectsSubmitAndMigrate) {
   session.drain();
   EXPECT_EQ(mem.stats().ops, 2u);
   EXPECT_EQ(mem.stats().migrations, 0u);
+}
+
+// stop() racing live sessions: each shard closes its request ring, so an
+// issue either lands before the close and is granted, or throws
+// drsm::Error and leaves the session's counters as they were; no ticket is
+// handed out that no shard grants, so every drain() returns.
+TEST(ConcurrentRuntimeTest, StopRacingSessionsGrantsOrRejectsEveryIssue) {
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kObjects = 32;
+  constexpr std::uint64_t kRejections = 16;  // per session, then it drains
+  testing::Watchdog watchdog(
+      std::chrono::seconds(120),
+      "ConcurrentRuntimeTest.StopRacingSessionsGrantsOrRejectsEveryIssue");
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kIllinois;
+  options.num_clients = kSessions;
+  options.num_objects = kObjects;
+  options.num_shards = 4;
+  options.max_inflight = 32;
+  options.ring_capacity = 64;
+  ConcurrentSharedMemory mem(options);
+
+  std::vector<std::uint64_t> attempted(kSessions, 0), rejected(kSessions, 0),
+      granted(kSessions, 0), issued(kSessions, 0), in_flight(kSessions, 0);
+  std::atomic<std::size_t> running{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kSessions; ++c) {
+    clients.emplace_back([&, c] {
+      auto& session = mem.session(static_cast<NodeId>(c));
+      session.set_grant_handler(
+          [&granted, c](const sim::ShardGrant&) { ++granted[c]; });
+      Rng rng(0x5709 + c);
+      while (rejected[c] < kRejections) {
+        const ObjectId object =
+            static_cast<ObjectId>(rng.uniform_index(kObjects));
+        const std::uint64_t issued_before = session.issued();
+        const std::size_t in_flight_before = session.in_flight();
+        ++attempted[c];
+        try {
+          if (rng.uniform() < 0.8)
+            session.read(object);
+          else
+            session.write_unique(object);
+        } catch (const Error&) {
+          ++rejected[c];
+          EXPECT_EQ(session.issued(), issued_before);
+          EXPECT_LE(session.in_flight(), in_flight_before);  // pumped only
+        }
+        if (attempted[c] == 200) running.fetch_add(1);
+      }
+      session.drain();
+      issued[c] = session.issued();
+      in_flight[c] = session.in_flight();
+    });
+  }
+  while (running.load() < kSessions) std::this_thread::yield();
+  mem.stop();
+  for (auto& t : clients) t.join();
+
+  std::uint64_t total_granted = 0;
+  for (std::size_t c = 0; c < kSessions; ++c) {
+    EXPECT_EQ(granted[c] + rejected[c], attempted[c]) << "session " << c;
+    EXPECT_EQ(issued[c], granted[c]) << "session " << c;
+    EXPECT_EQ(in_flight[c], 0u) << "session " << c;
+    total_granted += granted[c];
+  }
+  EXPECT_EQ(mem.stats().ops, total_granted);
 }
 
 TEST(ConcurrentRuntimeTest, RejectsUnsupportedOps) {

@@ -220,6 +220,42 @@ TEST(SweepRunner, SimulationSweepBitIdenticalAcrossThreadCounts) {
 // Metrics publication.
 // ---------------------------------------------------------------------------
 
+// analytic.power_iterations counts each call's own solve.  Priced from 4
+// workers sharing one solver, the counter must equal the shared chain's
+// cumulative count; reading the chain's last solve after the call could
+// publish another worker's.  Four rounds, since one round of the race
+// does not always show it.
+TEST(SweepRunner, SharedSolverPublishesEachCallsOwnSolve) {
+  const sim::SystemConfig config{10, {100.0, 30.0}, 1};
+  constexpr std::size_t kA = 8;
+  std::vector<workload::WorkloadSpec> cells;
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 8; ++j)
+      cells.push_back(workload::read_disturbance(0.05 + 0.05 * i,
+                                                 0.01 + 0.008 * j, kA));
+  obs::MetricsRegistry metrics;
+  analytic::AccSolver shared(config);
+  shared.set_metrics(&metrics);
+  exec::ThreadPool pool(4);
+  constexpr std::size_t kRounds = 4;
+  for (std::size_t round = 0; round < kRounds; ++round)
+    pool.parallel_map<double>(cells.size(), [&](std::size_t i) {
+      return shared.acc(ProtocolKind::kWriteThrough, cells[i]);
+    });
+  const analytic::ProtocolChain& chain =
+      shared.chain(ProtocolKind::kWriteThrough, cells.front());
+  ASSERT_GT(chain.num_states(), 256u);  // the power-iteration path
+  const auto telemetry = chain.telemetry();
+  EXPECT_EQ(telemetry.solves, kRounds * cells.size());
+  EXPECT_GT(telemetry.power_iterations, 0u);
+  EXPECT_EQ(metrics.counter("analytic.solves").value(),
+            kRounds * cells.size());
+  EXPECT_EQ(metrics.counter("analytic.power_iterations").value(),
+            telemetry.power_iterations);
+  EXPECT_EQ(metrics.counter("analytic.warm_starts").value(),
+            telemetry.warm_starts);
+}
+
 TEST(SweepRunner, PublishesExecMetrics) {
   obs::MetricsRegistry metrics;
   exec::SweepRunner runner({.threads = 2, .metrics = &metrics});

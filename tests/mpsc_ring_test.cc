@@ -1,17 +1,21 @@
 // MpscRing: FIFO/capacity semantics single-threaded, a differential check
-// against the mutex+deque reference queue, and multi-producer stress with
-// per-producer FIFO verification — the property the sharded runtime's
-// per-object ordering rests on.  Runs under TSan via the `concurrency`
-// ctest label.
+// against the mutex+deque reference queue, batch claims and closing, and
+// multi-producer stress with per-producer FIFO verification — the property
+// the sharded runtime's per-object ordering rests on — plus a park/wake
+// storm that hangs (and trips its watchdog) if the parking handshake can
+// lose a wakeup.  Runs under TSan via the `concurrency` ctest label.
 #include "sim/mpsc_ring.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "support/rng.h"
+#include "watchdog.h"
 
 namespace drsm::sim {
 namespace {
@@ -82,9 +86,48 @@ TEST(MpscRingTest, DifferentialAgainstMutexQueue) {
   }
 }
 
-// Multi-producer stress through a deliberately small ring: producers use
-// the blocking push (parking on the space gate), the consumer parks on the
-// empty gate — both wakeup paths and the full/empty transitions get
+// A batch claim is all or nothing, keeps its order and wraps the ring.
+TEST(MpscRingTest, BatchPushClaimsAllOrNothing) {
+  MpscRing<int> ring(8);
+  const int first[] = {0, 1, 2, 3, 4, 5};
+  ASSERT_TRUE(ring.try_push_batch(first, 6));
+  const int second[] = {6, 7, 8};
+  EXPECT_FALSE(ring.try_push_batch(second, 3));  // 2 slots free
+  EXPECT_EQ(ring.full_stalls(), 1u);
+  int out[8];
+  ASSERT_EQ(ring.pop_batch(out, 4), 4u);
+  ASSERT_TRUE(ring.try_push_batch(second, 3));  // wraps past the end
+  ASSERT_EQ(ring.pop_batch(out, 8), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], 4 + i);
+  EXPECT_TRUE(ring.try_push_batch(second, 0));
+  EXPECT_FALSE(ring.can_pop());
+}
+
+// close() fails every later claim but not the ones before it, which the
+// consumer still drains; drained() turns true only after the last pop.
+TEST(MpscRingTest, CloseRejectsLaterClaimsAndKeepsEarlierOnes) {
+  MpscRing<int> ring(8);
+  ASSERT_TRUE(ring.try_push(1));
+  ASSERT_TRUE(ring.try_push(2));
+  EXPECT_FALSE(ring.closed());
+  ring.close();
+  EXPECT_TRUE(ring.closed());
+  EXPECT_FALSE(ring.try_push(3));
+  const int more[] = {4, 5};
+  EXPECT_FALSE(ring.try_push_batch(more, 2));
+  EXPECT_EQ(ring.full_stalls(), 0u);  // closed is not full
+  EXPECT_FALSE(ring.drained());
+  EXPECT_FALSE(ring.park());  // never sleeps on a closed ring
+  int out[8];
+  ASSERT_EQ(ring.pop_batch(out, 8), 2u);
+  EXPECT_EQ(out[0], 1);
+  EXPECT_EQ(out[1], 2);
+  EXPECT_TRUE(ring.drained());
+}
+
+// Multi-producer stress through a deliberately small ring: producers retry
+// a full ring, the consumer parks on the tail word whenever it finds the
+// ring empty — the wakeup path and the full/empty transitions get
 // hammered.  Per-producer FIFO and exactly-once delivery are asserted.
 TEST(MpscRingTest, MultiProducerStressPreservesPerProducerFifo) {
   constexpr std::size_t kProducers = 4;
@@ -96,7 +139,7 @@ TEST(MpscRingTest, MultiProducerStressPreservesPerProducerFifo) {
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&ring, p] {
       for (std::uint64_t i = 0; i < kPerProducer; ++i)
-        ring.push(p << 32 | i);
+        while (!ring.try_push(p << 32 | i)) std::this_thread::yield();
     });
   }
 
@@ -106,12 +149,7 @@ TEST(MpscRingTest, MultiProducerStressPreservesPerProducerFifo) {
   while (received < kProducers * kPerProducer) {
     const std::size_t n = ring.pop_batch(out, 64);
     if (n == 0) {
-      const std::uint32_t ticket = ring.prepare_wait();
-      if (ring.can_pop()) {
-        ring.cancel_wait();
-        continue;
-      }
-      ring.wait(ticket);
+      ring.park();
       continue;
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -135,9 +173,7 @@ TEST(MpscRingTest, PokeWakesParkedConsumer) {
   MpscRing<int> ring(8);
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
-    const std::uint32_t ticket = ring.prepare_wait();
-    if (!ring.can_pop()) ring.wait(ticket);
-    else ring.cancel_wait();
+    ring.park();
     woke.store(true);
   });
   while (!woke.load()) {
@@ -146,6 +182,73 @@ TEST(MpscRingTest, PokeWakesParkedConsumer) {
   }
   consumer.join();
   EXPECT_TRUE(woke.load());
+}
+
+// Park/wake storm: 4 producers push short bursts, with sleeps between
+// them, into a capacity-8 ring, so the consumer finds the ring empty and
+// parks between most bursts while bursts also meet a full ring.  A lost
+// wakeup leaves the consumer parked while the producers retry a full ring
+// (or wait for it to drain) forever; the watchdog then fails the run
+// instead of letting it hang.  The run ends the way the runtime's loops
+// end: a stop flag, then poke() while the consumer is parked.
+TEST(MpscRingTest, ParkWakeStormLosesNoWakeup) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::uint64_t kBursts = 1000;
+  constexpr std::uint64_t kBurst = 6;
+  constexpr std::uint64_t kTotal = kProducers * kBursts * kBurst;
+  testing::Watchdog watchdog(std::chrono::seconds(60),
+                             "MpscRingTest.ParkWakeStormLosesNoWakeup");
+  MpscRing<std::uint64_t> ring(8);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> fifo_ok{true};
+  std::atomic<std::uint64_t> received{0};
+  std::uint64_t parks = 0;
+
+  std::thread consumer([&] {
+    std::vector<std::uint64_t> next_seq(kProducers, 0);
+    std::uint64_t out[8];
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::size_t n = ring.pop_batch(out, 8);
+      if (n == 0) {
+        if (ring.park(&stop)) ++parks;
+        continue;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t p = out[i] >> 32;
+        if (p >= kProducers || (out[i] & 0xffffffffu) != next_seq[p]++)
+          fifo_ok.store(false, std::memory_order_relaxed);
+      }
+      received.fetch_add(n, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ring, p] {
+      std::uint64_t seq = 0;
+      for (std::uint64_t b = 0; b < kBursts; ++b) {
+        for (std::uint64_t i = 0; i < kBurst; ++i, ++seq)
+          while (!ring.try_push(p << 32 | seq)) std::this_thread::yield();
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(10 + (b * 7 + p * 13) % 50));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  while (received.load(std::memory_order_acquire) < kTotal &&
+         fifo_ok.load(std::memory_order_relaxed))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Give the consumer time to find the ring empty and park, so the
+  // shutdown goes through poke()'s wake.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true, std::memory_order_release);
+  ring.poke();
+  consumer.join();
+
+  EXPECT_TRUE(fifo_ok.load()) << "a producer's values were lost, "
+                                 "duplicated or reordered";
+  EXPECT_EQ(received.load(), kTotal);
+  EXPECT_GT(parks, 0u);
+  EXPECT_FALSE(ring.can_pop());
 }
 
 }  // namespace
