@@ -19,18 +19,18 @@
 //
 //  * depth_n4: every protocol but Berkeley at N=4 — a depth exhaustively
 //    out of reach for the full engine — to show the reduced engine closes
-//    it within the default state cap.  Berkeley's 4.04M states take over
-//    a minute (docs/PERFORMANCE.md); drsm_check runs it.
+//    it within the default state cap.  Berkeley's 4.04M states take tens
+//    of seconds (docs/PERFORMANCE.md); drsm_check runs it.
 //
-// "states" is a gated key in tools/drsm_bench_diff.  The counts are exact
-// at one worker thread, so a report generated under DRSM_THREADS=1 (as
-// BENCH_check.json is, and as the tool_drsm_bench_diff_check ctest runs)
-// drifts only on a real exploration change.  At more threads the
-// visited-set claim race picks the orbit representative POR's singleton
-// choice depends on, so counts can move between runs
-// (CheckConfig::threads).  symmetry_hits and relabelings (the relabeled
-// encodings canonicalization hashed) are recorded but not gated.
-// expand_ms and merge_ms split each row's wall time by BFS layer.
+// tools/drsm_bench_diff gates every count of a row: states, transitions,
+// max_depth, probes, por_pruned, symmetry_hits and relabelings (the
+// relabeled encodings canonicalization hashed).  The checker claims
+// states in its serial in-order merge, so the counts are the same at
+// every worker thread count (CheckConfig::threads) and a report drifts
+// only on a real exploration change; the tool_drsm_bench_diff_check
+// ctest holds runs at one and at four threads to the committed
+// BENCH_check.json.  expand_ms and merge_ms split each row's wall time
+// by BFS layer.
 //
 // Report: BENCH_check.json.
 #include <cstdio>

@@ -5,22 +5,20 @@
 //    is the engine the reduction-soundness tests compare against, and
 //    the one that runs worlds whose machines lack the snapshot codec.
 //  * check_reduced — the scaled engine: symmetry-canonicalized 64-bit
-//    keys in a lock-free visited set, pure-absorption partial-order
-//    reduction, a frontier of exact snapshots, and per-depth parallel
-//    expansion over exec::ThreadPool.
+//    keys in a visited set, pure-absorption partial-order reduction, a
+//    frontier of exact snapshots, and per-depth parallel expansion over
+//    exec::ThreadPool.
 //    Each BFS depth is a barrier: one task per thread takes frontier
 //    entries in order and expands them into per-entry result slots and
 //    the task's own successor list and snapshot arena, decoding each
 //    parent snapshot once into the task's one scratch World, building
 //    each successor in it and undoing the step before the next
-//    (undo_step), rather than cloning or decoding per successor; then a
-//    serial in-order merge assigns tree nodes and picks the lowest-index
-//    violation.  At one thread every count and counterexample is exact
-//    and reproducible.
-//    At more threads workers claim states as they expand them, so the
-//    claim race picks which member of a symmetry orbit is expanded, and
-//    POR's singleton choice depends on that representative: counts can
-//    differ between runs until claims move into the in-order merge.
+//    (undo_step), rather than cloning or decoding per successor.
+//    Workers only read the visited set.  Then a serial in-order merge
+//    claims the new states in (entry, candidate) order, enforces the
+//    state cap, assigns tree nodes and picks the lowest-index violation,
+//    so every thread count keeps the same member of each symmetry orbit
+//    and reports the same counts and counterexample.
 //
 // The state semantics both engines share — World, step application,
 // invariants, probes, canonicalization, the snapshot codec — live in
@@ -218,10 +216,15 @@ struct Entry {
   std::size_t tree = 0;
 };
 
-/// One newly claimed successor produced by a worker, pending the serial
-/// merge that assigns its tree node: its step and where its snapshot
-/// sits in the task's arena for the depth.
+/// One successor a worker found new at its depth, pending the serial
+/// merge that claims it: its canonical hash, whether that hash came from a
+/// relabeling other than the state's own (a symmetry hit if the merge finds
+/// it claimed), the read probes run on it, its step, and where its
+/// snapshot sits in the task's arena for the depth.
 struct SuccessorOut {
+  std::uint64_t hash = 0;
+  bool nontrivial = false;
+  std::size_t probes = 0;
   CheckStep step;
   std::size_t offset = 0;
   std::size_t size = 0;
@@ -229,21 +232,31 @@ struct SuccessorOut {
 
 /// One expansion task's state, kept for the whole search: the World each
 /// parent is decoded into and every successor built in, the parent's
-/// Ledger as decoded (for undo_step), the buffers for candidates, keys
-/// and snapshots, and the state_name() literals of the states the task
-/// inserted, each address once.  The successors a task finds at a depth
-/// go to `succs`, their snapshots one after another into `arena[depth %
-/// 2]`: the next depth's frontier reads them there while the task fills
-/// the other arena, so a new state costs no allocation of its own.
+/// Ledger as decoded (for undo_step), and the buffers for candidates, keys
+/// and snapshots.  The rest holds one depth and is cleared at its start:
+/// the hashes the task sent to the merge (`emitted`), the state_name()
+/// literals of those states, each address once in the order first seen,
+/// the successors themselves, and their snapshots one after another in
+/// `arena[depth % 2]`: the next depth's frontier reads them there while
+/// the task fills the other arena, so a new state costs no allocation of
+/// its own.
 struct Scratch {
   World world;
   Ledger parent_ledger;
   std::vector<Candidate> candidates;
   std::vector<std::uint8_t> bytes;
+  StateStore emitted;
   std::vector<const char*> names;
   std::vector<SuccessorOut> succs;
   std::vector<std::uint8_t> arena[2];
 };
+
+/// Appends the state_name() literal `name` to `names` unless that address
+/// is there already.
+void add_name(std::vector<const char*>& names, const char* name) {
+  if (std::find(names.begin(), names.end(), name) == names.end())
+    names.push_back(name);
+}
 
 /// Decodes a frontier snapshot into `w`, in place once `w` is built.
 void decode(const CheckConfig& cfg, std::span<const std::uint8_t> bytes,
@@ -256,29 +269,30 @@ void decode(const CheckConfig& cfg, std::span<const std::uint8_t> bytes,
 /// Everything a worker learned expanding one frontier entry.  Workers
 /// write only their own slot; the depth-barrier merge folds the slots in
 /// entry order.  The entry's successors are succs[succ_begin, succ_end)
-/// of the Scratch of task `task`.
+/// of the Scratch of task `task`, and the state names it saw first are
+/// names[names_begin, names_end) there.
 struct EntryResult {
   std::size_t task = 0;
   std::size_t succ_begin = 0;
   std::size_t succ_end = 0;
+  std::size_t names_begin = 0;
+  std::size_t names_end = 0;
   std::size_t transitions = 0;
   std::size_t truncated = 0;
   std::size_t por_pruned = 0;
   std::size_t symmetry_hits = 0;
   std::size_t relabelings = 0;
-  std::size_t probes = 0;
   std::size_t decodes = 0;
   std::size_t restores = 0;
   const char* invariant = nullptr;  // first violation, candidate order
   std::string detail;
   CheckStep bad_step;
-  bool overflow = false;
 };
 
-/// The scaled engine: canonical-hash dedup (lock-free StateStore),
-/// pure-absorption POR, per-depth parallel expansion, a frontier of exact
-/// snapshots.  `init_bytes` is the snapshot of `init`, which
-/// check_protocol has seen round-trip.
+/// The scaled engine: canonical-hash dedup, pure-absorption POR,
+/// per-depth parallel expansion, a frontier of exact snapshots.
+/// `init_bytes` is the snapshot of `init`, which check_protocol has seen
+/// round-trip.
 CheckResult check_reduced(const CheckConfig& cfg, const World& init,
                           const std::vector<std::uint8_t>& init_bytes) {
   const bool symmetry = cfg.symmetry_reduction && cfg.num_clients >= 2;
@@ -302,20 +316,9 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
   res.por_applied = por;
   res.threads_used = pool.threads();
 
-  // Upper bound on successors of one state: every client issuing plus
-  // every directed channel delivering its head.  reserve()ing for
-  // width * bound before each depth means claim() can never spuriously
-  // overflow mid-depth, while small runs never pay for the full
-  // max_states allocation.
-  const std::size_t succ_bound =
-      cfg.num_clients + (cfg.num_clients + 1) * (cfg.num_clients + 1);
-  StateStore store(std::min<std::size_t>(cfg.max_states, 1u << 15));
+  StateStore visited;
   std::vector<TreeNode> tree;
-  std::set<std::string> names;
-
-  auto record_names = [&](const World& w) {
-    for (const auto& machine : w.machines) names.insert(machine->state_name());
-  };
+  std::vector<const char*> names;  // of the states of folded entries
   auto fail = [&](std::int64_t parent, const CheckStep* last,
                   const char* invariant, std::string detail) {
     res.violations.push_back({invariant, std::move(detail)});
@@ -326,10 +329,11 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
     std::vector<std::uint8_t> scratch;
     const CanonicalHash key = state_hash(init, scratch);
     res.relabelings += key.relabelings;
-    store.claim(key.hash);
+    visited.insert(key.hash);
   }
   tree.push_back({});
-  record_names(init);
+  for (const auto& machine : init.machines)
+    add_name(names, machine->state_name());
   {
     std::string detail;
     const char* inv = check_state(init, cfg, detail);
@@ -352,13 +356,6 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
   std::vector<Entry> frontier;
   if (res.violations.empty()) frontier.push_back({init_bytes, 0});
 
-  // When the pool is one thread, parallel_for degenerates to an in-order
-  // inline loop, so a shared stop flag reproduces the reference engine's
-  // early exit exactly.  With real parallelism the flag is only set on
-  // overflow: every entry still runs to completion on a violation, so
-  // the merge always sees the lowest-(entry, candidate) one regardless
-  // of schedule.
-  const bool serial = pool.threads() == 1;
   std::vector<Scratch> scratches(pool.threads());
   std::vector<EntryResult> results;
 
@@ -366,18 +363,13 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
   while (!frontier.empty() && res.violations.empty() &&
          !res.hit_state_cap) {
     const std::size_t width = frontier.size();
-    store.reserve(store.size() + width * succ_bound);
     results.assign(width, EntryResult{});
-    std::atomic<bool> stop{false};
 
-    auto expand = [&](std::size_t i, std::size_t task) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      EntryResult& r = results[i];
-      const Entry& entry = frontier[i];
-      Scratch& scratch = scratches[task];
-      r.task = task;
-      r.succ_begin = r.succ_end = scratch.succs.size();
-
+    // Expands one entry up to its first violation.  Workers only read
+    // `visited`; a successor it holds, or that this task already sent to
+    // the merge at this depth, is a duplicate, and the rest go to the
+    // merge, which claims them.
+    auto expand = [&](const Entry& entry, Scratch& scratch, EntryResult& r) {
       // Every successor is built in s from the parent, decoded once.
       // Between candidates s goes back to the parent by undoing the step
       // (undo_step), or by decoding again after a quiescent read probe,
@@ -402,7 +394,6 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
       }
 
       for (const Candidate& cand : candidates) {
-        if (stop.load(std::memory_order_relaxed)) return;
         if (since == Since::kStep) {
           undo_step(s, entry.bytes.data(), scratch.parent_ledger);
           ++r.restores;
@@ -433,7 +424,6 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
           r.invariant = out.invariant;
           r.detail = std::move(out.detail);
           r.bad_step = step;
-          if (serial) stop.store(true, std::memory_order_relaxed);
           return;
         }
         {
@@ -443,42 +433,33 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
             r.invariant = inv;
             r.detail = std::move(detail);
             r.bad_step = step;
-            if (serial) stop.store(true, std::memory_order_relaxed);
             return;
           }
         }
         const CanonicalHash key = state_hash(s, scratch.bytes);
         r.relabelings += key.relabelings;
-        const StateStore::Claim claim = store.claim(key.hash);
-        if (claim == StateStore::Claim::kOverflow) {
-          r.overflow = true;
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (claim == StateStore::Claim::kPresent) {
+        if (visited.contains(key.hash) || !scratch.emitted.insert(key.hash)) {
           if (key.nontrivial) ++r.symmetry_hits;
           continue;
         }
-        for (const auto& machine : s.machines) {
-          const char* name = machine->state_name();
-          if (std::find(scratch.names.begin(), scratch.names.end(), name) ==
-              scratch.names.end())
-            scratch.names.push_back(name);
-        }
+        for (const auto& machine : s.machines)
+          add_name(scratch.names, machine->state_name());
         SuccessorOut succ;
+        succ.hash = key.hash;
+        succ.nontrivial = key.nontrivial;
         succ.step = step;
         serialize_world(s, scratch.bytes);
         std::vector<std::uint8_t>& arena = scratch.arena[depth % 2];
         succ.offset = arena.size();
         succ.size = scratch.bytes.size();
         arena.insert(arena.end(), scratch.bytes.begin(), scratch.bytes.end());
+        const char* probe_inv = nullptr;
+        std::string probe_detail;
         if (cfg.probe_quiescent_reads && channels_empty(s) &&
             !any_pending(s)) {
-          const char* probe_inv = nullptr;
-          std::string probe_detail;
           since = Since::kProbe;
           for (NodeId client = 0; client < cfg.num_clients; ++client) {
-            ++r.probes;
+            ++succ.probes;
             // Each probe runs on s itself, rebuilt from the snapshot after
             // the first.
             if (client > 0) {
@@ -488,45 +469,57 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
             probe_inv = probe_read_in_place(s, client, cfg, probe_detail);
             if (probe_inv != nullptr) break;
           }
-          if (probe_inv != nullptr) {
-            r.invariant = probe_inv;
-            r.detail = std::move(probe_detail);
-            r.bad_step = step;
-            if (serial) stop.store(true, std::memory_order_relaxed);
-            return;
-          }
         }
-        if (store.size() >= cfg.max_states) {
-          r.overflow = true;
-          stop.store(true, std::memory_order_relaxed);
-          // Keep this last successor: it was claimed before the cap hit.
-        }
+        // A state whose probe fails is still claimed, as it was reached.
         scratch.succs.push_back(succ);
-        r.succ_end = scratch.succs.size();
-        if (r.overflow) return;
+        if (probe_inv != nullptr) {
+          r.invariant = probe_inv;
+          r.detail = std::move(probe_detail);
+          r.bad_step = step;
+          return;
+        }
       }
     };
-    // One task per pool thread, each with its own Scratch, takes entries
-    // from a shared cursor in frontier order: the schedule of one task
-    // per entry, with one scratch World per task for the whole search.
+    // One task per pool thread, each with its own Scratch, takes runs of
+    // kRun entries from a shared cursor in frontier order, with one
+    // scratch World per task for the whole search.  Siblings and cousins
+    // sit side by side in the frontier, so a run keeps most of a depth's
+    // duplicates inside one task, whose emitted set drops them before
+    // they are serialized and sent to the merge.
+    constexpr std::size_t kRun = 256;
     std::atomic<std::size_t> cursor{0};
     const auto expand_start = Clock::now();
     pool.parallel_for(pool.threads(), [&](std::size_t task) {
-      scratches[task].succs.clear();
-      scratches[task].arena[depth % 2].clear();
+      Scratch& scratch = scratches[task];
+      scratch.emitted.clear();
+      scratch.names.clear();
+      scratch.succs.clear();
+      scratch.arena[depth % 2].clear();
       for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= width) return;
-        expand(i, task);
+        const std::size_t begin =
+            cursor.fetch_add(kRun, std::memory_order_relaxed);
+        if (begin >= width) return;
+        for (std::size_t i = begin; i < std::min(begin + kRun, width); ++i) {
+          EntryResult& r = results[i];
+          r.task = task;
+          r.succ_begin = scratch.succs.size();
+          r.names_begin = scratch.names.size();
+          expand(frontier[i], scratch, r);
+          r.succ_end = scratch.succs.size();
+          r.names_end = scratch.names.size();
+        }
       }
     });
     const auto merge_start = Clock::now();
     res.expand_seconds += seconds(expand_start, merge_start);
 
-    // Serial in-order merge: fold counters, pick the lowest-index
-    // violation, assign tree nodes and the next frontier.
+    // Serial in-order merge, the only place a state is claimed: fold each
+    // entry's counts, claim its successors in (entry, candidate) order,
+    // dropping any an earlier entry of another task claimed, and assign
+    // tree nodes and the next frontier.  It stops after the first entry
+    // with a violation and after the entry at which the visited set
+    // reaches max_states, so every thread count folds the same entries.
     std::vector<Entry> next;
-    bool violated = false;
     for (std::size_t i = 0; i < width; ++i) {
       EntryResult& r = results[i];
       res.transitions += r.transitions;
@@ -534,19 +527,23 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
       res.por_pruned += r.por_pruned;
       res.symmetry_hits += r.symmetry_hits;
       res.relabelings += r.relabelings;
-      res.probes += r.probes;
       res.decodes += r.decodes;
       res.restores += r.restores;
-      if (r.overflow) res.hit_state_cap = true;
-      if (r.invariant != nullptr && !violated) {
-        violated = true;
-        fail(static_cast<std::int64_t>(frontier[i].tree), &r.bad_step,
-             r.invariant, std::move(r.detail));
-      }
-      if (violated) continue;
       const Scratch& found = scratches[r.task];
+      for (std::size_t k = r.names_begin; k < r.names_end; ++k)
+        add_name(names, found.names[k]);
       for (std::size_t k = r.succ_begin; k < r.succ_end; ++k) {
         const SuccessorOut& succ = found.succs[k];
+        // Past the cap a new state is dropped; a claimed one is still a
+        // duplicate.
+        if (res.hit_state_cap || !visited.insert(succ.hash)) {
+          if (succ.nontrivial && visited.contains(succ.hash))
+            ++res.symmetry_hits;
+          continue;
+        }
+        res.probes += succ.probes;
+        if (visited.size() >= cfg.max_states) res.hit_state_cap = true;
+        if (r.invariant != nullptr) continue;  // the search ends here
         tree.push_back({static_cast<std::int64_t>(frontier[i].tree),
                         succ.step, depth + 1});
         res.max_depth = std::max(res.max_depth, depth + 1);
@@ -554,16 +551,21 @@ CheckResult check_reduced(const CheckConfig& cfg, const World& init,
             {std::span(found.arena[depth % 2]).subspan(succ.offset, succ.size),
              tree.size() - 1});
       }
+      if (r.invariant != nullptr) {
+        fail(static_cast<std::int64_t>(frontier[i].tree), &r.bad_step,
+             r.invariant, std::move(r.detail));
+        break;
+      }
+      if (res.hit_state_cap) break;
     }
     frontier = std::move(next);
     ++depth;
     res.merge_seconds += seconds(merge_start, Clock::now());
   }
 
-  res.states = store.size();
-  for (const Scratch& scratch : scratches)
-    names.insert(scratch.names.begin(), scratch.names.end());
-  res.visited_state_names.assign(names.begin(), names.end());
+  res.states = visited.size();
+  const std::set<std::string> sorted(names.begin(), names.end());
+  res.visited_state_names.assign(sorted.begin(), sorted.end());
   return res;
 }
 

@@ -49,10 +49,11 @@
 //    (a "pure absorption": redundant invalidation, stale update) is
 //    expanded alone instead of interleaved with every other action;
 //  * parallel frontier — each BFS depth is expanded by an
-//    exec::ThreadPool over a lock-free visited set of canonical keys
-//    (check/state_store.h), with successors merged in frontier order at
-//    the depth barrier so counterexamples stay minimal (counts are exact
-//    at one thread; see CheckConfig::threads);
+//    exec::ThreadPool whose workers only read the visited set of
+//    canonical keys (check/state_store.h); a serial merge at the depth
+//    barrier claims their successors in frontier order, so
+//    counterexamples stay minimal and every thread count reports the
+//    same result (see CheckConfig::threads);
 //  * snapshot frontier — queued states are exact byte snapshots
 //    (serialize_world), not live machine graphs, cutting memory per
 //    state by an order of magnitude.  Each task packs the snapshots it
@@ -109,11 +110,15 @@ struct CheckConfig {
   /// real protocols stay far below any reasonable bound.
   std::size_t channel_capacity = 8;
 
-  /// Exploration cap; hitting it marks the result truncated.  The
-  /// default admits the largest acceptance configuration — Berkeley at
-  /// N=4 is exhaustive at ~4.04M canonical states — and costs nothing
-  /// up front: the visited set grows geometrically with demand
-  /// (check/state_store.h), so small runs never allocate for the cap.
+  /// Exploration cap; hitting it marks the result truncated
+  /// (CheckResult::hit_state_cap) with exactly max_states states.  The
+  /// reduced engine finishes expanding the frontier entry whose
+  /// successors reached the cap, so its transitions include the rest of
+  /// that entry.  The default admits the largest acceptance
+  /// configuration — Berkeley at N=4 is exhaustive at ~4.04M canonical
+  /// states — and costs nothing up front: the visited set grows with
+  /// demand (check/state_store.h), so small runs never allocate for the
+  /// cap.
   std::size_t max_states = 8'000'000;
 
   /// Classify state names via protocols::classify_state (disable for
@@ -149,12 +154,12 @@ struct CheckConfig {
 
   /// Worker threads for frontier expansion: 0 picks
   /// exec::ThreadPool::default_threads() (DRSM_THREADS or hardware
-  /// concurrency).  At one thread every reported count is exact and
-  /// reproducible.  At more threads the visited-set claim race picks
-  /// which member of a symmetry orbit is expanded, and POR's singleton
-  /// choice depends on that representative, so counts can differ
-  /// between runs (Illinois at N=3 on 4 threads: 2152 to 2170 states,
-  /// 2169 at one thread) until claims move into the in-order merge.
+  /// concurrency).  The thread count changes only the speed: states
+  /// are claimed in the serial in-order merge, so every thread count
+  /// keeps the same member of each symmetry orbit and reports the same
+  /// counts, state names, verdict and counterexample.  CheckResult's
+  /// decodes and restores are the exception: at more than one thread
+  /// they also count work on duplicates that different workers found.
   std::size_t threads = 0;
 
   /// When set, check_protocol publishes check.* counters and gauges here
@@ -211,7 +216,9 @@ struct CheckResult {
   /// expanded state, one more after each quiescent successor's read
   /// probes, and one per probe after a successor's first.  restores
   /// counts steps taken back by undo_step instead (check/world.h).  Both
-  /// are 0 under kFullExpansion, which clones.
+  /// are 0 under kFullExpansion, which clones.  At more than one thread
+  /// they also count the work on a duplicate that two workers each found
+  /// new at the same depth, before the merge dropped one of them.
   std::size_t decodes = 0;
   std::size_t restores = 0;
   bool symmetry_applied = false;  // reduction actually ran (reduced
@@ -222,9 +229,9 @@ struct CheckResult {
 
   /// The reduced engine's wall time split by BFS layer, summed over
   /// depths: expand_seconds spans each depth's parallel expansion
-  /// (decode, step, invariants, canonicalization, claim, probes,
-  /// snapshot), merge_seconds its serial in-order merge.  Zero under
-  /// kFullExpansion.
+  /// (decode, step, invariants, canonicalization, visited-set lookups,
+  /// probes, snapshot), merge_seconds its serial in-order merge, which
+  /// claims the new states.  Zero under kFullExpansion.
   double expand_seconds = 0.0;
   double merge_seconds = 0.0;
   double states_per_sec() const {

@@ -1,6 +1,7 @@
 #include "check/state_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "support/hash.h"
@@ -9,86 +10,55 @@ namespace drsm::check {
 
 namespace {
 
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+// 0 marks an empty slot.
+std::uint64_t stored(std::uint64_t key) { return key == 0 ? 1 : key; }
+
+// Canonical keys are minima over permutation orbits, which skews their
+// high bits toward zero; the slot comes from the bijectively re-mixed
+// key, so skewed keys still spread.
+std::size_t home_slot(std::uint64_t key, std::size_t mask) {
+  return static_cast<std::size_t>(hash_mix(key)) & mask;
 }
 
 }  // namespace
 
-StateStore::StateStore(std::size_t expected_max) { allocate(expected_max); }
+StateStore::StateStore(std::size_t expected)
+    : slots_(std::bit_ceil(std::max<std::size_t>(64, expected * 2)), 0),
+      mask_(slots_.size() - 1) {}
 
-void StateStore::allocate(std::size_t expected_max) {
-  // ~2x headroom over the expected maximum keeps open-addressing probe
-  // chains short; the minimum keeps tiny configurations cheap but real.
-  const std::size_t total =
-      next_pow2(std::max<std::size_t>(1024, expected_max * 2));
-  capacity_ = expected_max;
-  slots_per_shard_ = total / kShards;
-  slot_mask_ = slots_per_shard_ - 1;
-  // A shard refusing inserts beyond 7/8 fill bounds the worst-case probe
-  // chain; the checker treats the refusal as its state cap.
-  max_probe_ = slots_per_shard_ - slots_per_shard_ / 8;
-  shards_.clear();
-  shards_.resize(kShards);
-  for (Shard& shard : shards_) {
-    shard.slots =
-        std::make_unique<std::atomic<std::uint64_t>[]>(slots_per_shard_);
-    for (std::size_t i = 0; i < slots_per_shard_; ++i)
-      shard.slots[i].store(0, std::memory_order_relaxed);
+bool StateStore::insert(std::uint64_t key) {
+  key = stored(key);
+  std::size_t at = home_slot(key, mask_);
+  for (; slots_[at] != 0; at = (at + 1) & mask_)
+    if (slots_[at] == key) return false;
+  slots_[at] = key;
+  if (++size_ > capacity()) grow();
+  return true;
+}
+
+bool StateStore::contains(std::uint64_t key) const {
+  key = stored(key);
+  for (std::size_t at = home_slot(key, mask_); slots_[at] != 0;
+       at = (at + 1) & mask_)
+    if (slots_[at] == key) return true;
+  return false;
+}
+
+void StateStore::clear() {
+  std::fill(slots_.begin(), slots_.end(), 0);
+  size_ = 0;
+}
+
+void StateStore::grow() {
+  const std::vector<std::uint64_t> old =
+      std::exchange(slots_, std::vector<std::uint64_t>(slots_.size() * 2, 0));
+  mask_ = slots_.size() - 1;
+  for (const std::uint64_t key : old) {
+    if (key == 0) continue;
+    std::size_t at = home_slot(key, mask_);
+    while (slots_[at] != 0) at = (at + 1) & mask_;
+    slots_[at] = key;
   }
-}
-
-void StateStore::reserve(std::size_t expected_max) {
-  if (expected_max <= capacity_) return;
-  std::vector<Shard> old = std::move(shards_);
-  const std::size_t old_slots = slots_per_shard_;
-  allocate(expected_max);
-  // Exclusive access by contract, so plain relaxed rehash: every claimed
-  // key lands exactly once in the fresh (strictly larger) arrays.
-  for (const Shard& shard : old)
-    for (std::size_t i = 0; i < old_slots; ++i) {
-      const std::uint64_t key = shard.slots[i].load(std::memory_order_relaxed);
-      if (key != 0) insert_unlocked(key);
-    }
-}
-
-void StateStore::insert_unlocked(std::uint64_t key) {
-  const std::uint64_t mixed = hash_mix(key);
-  Shard& shard = shards_[(mixed >> 60) & (kShards - 1)];
-  std::size_t at = static_cast<std::size_t>(mixed) & slot_mask_;
-  while (shard.slots[at].load(std::memory_order_relaxed) != 0)
-    at = (at + 1) & slot_mask_;
-  shard.slots[at].store(key, std::memory_order_relaxed);
-}
-
-StateStore::Claim StateStore::claim(std::uint64_t key) {
-  if (key == 0) key = 1;  // 0 marks an empty slot
-  // Re-mix before indexing: canonical keys are minima over permutation
-  // orbits, which skews their high bits toward zero — raw top-bit
-  // sharding would pile most keys into shard 0.  The bijective finalizer
-  // restores a uniform spread without changing key identity.
-  const std::uint64_t mixed = hash_mix(key);
-  Shard& shard = shards_[(mixed >> 60) & (kShards - 1)];
-  std::size_t at = static_cast<std::size_t>(mixed) & slot_mask_;
-  for (std::size_t probe = 0; probe < max_probe_; ++probe) {
-    std::uint64_t seen = shard.slots[at].load(std::memory_order_acquire);
-    if (seen == key) return Claim::kPresent;
-    if (seen == 0) {
-      std::uint64_t expected = 0;
-      if (shard.slots[at].compare_exchange_strong(
-              expected, key, std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return Claim::kInserted;
-      }
-      if (expected == key) return Claim::kPresent;
-      // Lost the race to a different key: fall through and keep probing.
-    }
-    at = (at + 1) & slot_mask_;
-  }
-  return Claim::kOverflow;
 }
 
 }  // namespace drsm::check

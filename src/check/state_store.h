@@ -1,81 +1,48 @@
-// Lock-free visited set for the parallel frontier BFS.
+// Visited set for the reduced engine's frontier BFS.
 //
 // The checker dedups on 64-bit canonical state keys (check/world.h), so
-// the visited structure only needs *membership with first-claim*: claim()
-// answers "did this call insert the key?" with one CAS on the owning
-// slot.  The layout is the interning pattern of analytic/interner.h —
-// fixed-capacity open addressing over power-of-two slot arrays — made
-// concurrent: slots are atomic, claimed by compare-exchange from empty,
-// and sharded by the key's high bits so concurrent claims rarely touch
-// the same cache lines, let alone the same slot chain.
+// the visited structure only needs membership: insert() answers "was this
+// key new?".  The layout is the interning pattern of analytic/interner.h:
+// open addressing with linear probing over one power-of-two slot array,
+// which doubles once it is half full.
 //
-// Capacity is fixed *between barriers*, which is what makes lock-freedom
-// this simple: no rehash ever happens while claimers run, so a slot once
-// published never moves.  The checker grows the store only at its BFS
-// depth barrier via reserve() — a serial rebuild, called when no claimer
-// is in flight — sized for the worst-case successor count of the next
-// depth, so claim() never runs out of slots mid-depth in practice.
-// Running out anyway is reported via claim() == kOverflow and treated by
-// the checker exactly like hitting the state cap.
+// One thread writes it.  check_reduced's serial in-order merge is the
+// only place a state is claimed; while a depth's workers expand they only
+// read the set (contains()), and the merge runs after they have finished.
+// Each worker also keeps a set of its own, cleared at every depth, for
+// the keys it already emitted there.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace drsm::check {
 
 class StateStore {
  public:
-  enum class Claim : std::uint8_t {
-    kInserted,  // this call claimed the key
-    kPresent,   // some earlier claim holds it
-    kOverflow,  // the owning shard is full; treat as a state cap
-  };
+  /// Sizes the slot array for `expected` keys; it grows past that alone.
+  explicit StateStore(std::size_t expected = 0);
 
-  /// Sizes the store for up to `expected_max` distinct keys.
-  explicit StateStore(std::size_t expected_max);
+  /// Inserts `key`; true when it was not present.  Key 0 is remapped
+  /// internally (the empty slot marker), so every 64-bit value is a key.
+  bool insert(std::uint64_t key);
 
-  StateStore(const StateStore&) = delete;
-  StateStore& operator=(const StateStore&) = delete;
+  bool contains(std::uint64_t key) const;
 
-  /// Thread-safe, lock-free.  Key 0 is remapped internally (the empty
-  /// slot marker), so every 64-bit value is a valid key.
-  Claim claim(std::uint64_t key);
+  /// Removes every key, keeping the slot array.
+  void clear();
 
-  /// Grows capacity to hold `expected_max` keys (no-op if it already
-  /// does), rehashing every claimed key into the new slot arrays.  NOT
-  /// thread-safe: callers must guarantee no claim() is in flight — the
-  /// checker calls this only at its depth barrier.
-  void reserve(std::size_t expected_max);
+  std::size_t size() const { return size_; }
 
-  /// Keys the current slot arrays are sized for (the constructor /
-  /// reserve() `expected_max` they satisfy, not the raw slot count).
-  std::size_t capacity() const { return capacity_; }
-
-  /// Number of successful inserts.  Exact once concurrent claimers have
-  /// synchronized (e.g. at the BFS depth barrier); monotone otherwise.
-  std::size_t size() const {
-    return size_.load(std::memory_order_relaxed);
-  }
+  /// Keys the store holds before its next growth.
+  std::size_t capacity() const { return slots_.size() / 2; }
 
  private:
-  struct Shard {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
-  };
+  void grow();
 
-  static constexpr std::size_t kShards = 16;  // fixed power of two
-
-  void allocate(std::size_t expected_max);
-  void insert_unlocked(std::uint64_t key);  // reserve()'s rehash path
-
-  std::vector<Shard> shards_;
-  std::size_t capacity_ = 0;         // expected_max the layout satisfies
-  std::size_t slots_per_shard_ = 0;  // power of two
-  std::size_t slot_mask_ = 0;
-  std::size_t max_probe_ = 0;  // fill bound per shard before kOverflow
-  std::atomic<std::size_t> size_{0};
+  std::vector<std::uint64_t> slots_;  // 0 = empty
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace drsm::check

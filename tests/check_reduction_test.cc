@@ -19,12 +19,14 @@
 //  * step undo — undo_step after any step, cut sends and home -> home
 //    deliveries included, gives back the parent's exact snapshot and
 //    behaviour key;
-//  * StateStore — first-claim semantics hold, including under
-//    concurrent claimers.
+//  * StateStore — first-claim semantics hold, and growth keeps every key;
+//  * parallel exploration — 1, 2 and 4 worker threads report the same
+//    counts, state names, verdicts and counterexamples on every
+//    configuration of the check_verify sweep, on the broken migration
+//    handoffs, and on a search cut by the state cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +35,6 @@
 #include "check/state_store.h"
 #include "check/world.h"
 #include "dsm/migration.h"
-#include "exec/thread_pool.h"
 #include "protocols/protocol.h"
 #include "support/hash.h"
 #include "support/rng.h"
@@ -594,94 +595,178 @@ TEST(StateStoreTest, FirstClaimWinsExactlyOnce) {
   Rng rng(7);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 500; ++i) keys.push_back(rng.next());
-  for (std::uint64_t k : keys)
-    EXPECT_EQ(store.claim(k), StateStore::Claim::kInserted);
-  for (std::uint64_t k : keys)
-    EXPECT_EQ(store.claim(k), StateStore::Claim::kPresent);
+  for (std::uint64_t k : keys) EXPECT_TRUE(store.insert(k));
+  for (std::uint64_t k : keys) {
+    EXPECT_FALSE(store.insert(k));
+    EXPECT_TRUE(store.contains(k));
+  }
   EXPECT_EQ(store.size(), keys.size());
 }
 
 TEST(StateStoreTest, ZeroKeyIsClaimable) {
   StateStore store(16);
-  EXPECT_EQ(store.claim(0), StateStore::Claim::kInserted);
-  EXPECT_EQ(store.claim(0), StateStore::Claim::kPresent);
+  EXPECT_FALSE(store.contains(0));
+  EXPECT_TRUE(store.insert(0));
+  EXPECT_FALSE(store.insert(0));
+  EXPECT_TRUE(store.contains(0));
 }
 
 TEST(StateStoreTest, SkewedKeysStillSpread) {
   // Canonical keys are orbit minima: heavily biased toward small values.
-  // The store must absorb far more such keys than a naive top-bit shard
-  // split would allow.
+  // The store must take and find them all, however they cluster.
   StateStore store(20000);
   for (std::uint64_t k = 1; k <= 20000; ++k)
-    ASSERT_EQ(store.claim(k), StateStore::Claim::kInserted) << k;
+    ASSERT_TRUE(store.insert(k)) << k;
+  for (std::uint64_t k = 1; k <= 20000; ++k)
+    ASSERT_TRUE(store.contains(k)) << k;
+  EXPECT_FALSE(store.contains(20001));
 }
 
-TEST(StateStoreTest, ReserveKeepsEveryClaimedKey) {
-  // The checker grows the store at depth barriers; a grown store must
-  // still report every previously claimed key as present (a key lost in
-  // the rehash would let BFS revisit — and re-expand — a whole subtree).
+TEST(StateStoreTest, GrowingKeepsEveryClaimedKey) {
+  // The store grows itself as the checker's merge claims states; a grown
+  // store must still report every previously claimed key as present (a
+  // key lost in the rehash would let BFS revisit, and re-expand, a whole
+  // subtree).
   StateStore store(16);
   Rng rng(11);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 40000; ++i) keys.push_back(rng.next());
   std::size_t grown = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (i == store.capacity()) {  // about to outgrow: barrier-style grow
-      store.reserve(2 * store.capacity());
-      ++grown;
-    }
-    ASSERT_EQ(store.claim(keys[i]), StateStore::Claim::kInserted) << i;
+    const std::size_t capacity = store.capacity();
+    ASSERT_TRUE(store.insert(keys[i])) << i;
+    if (store.capacity() != capacity) ++grown;
     if (i % 97 == 0) {
-      ASSERT_EQ(store.claim(keys[i / 2]), StateStore::Claim::kPresent);
+      ASSERT_FALSE(store.insert(keys[i / 2]));
     }
   }
   EXPECT_GT(grown, 5u);
   EXPECT_EQ(store.size(), keys.size());
-  for (std::uint64_t k : keys)
-    ASSERT_EQ(store.claim(k), StateStore::Claim::kPresent) << k;
+  for (std::uint64_t k : keys) ASSERT_TRUE(store.contains(k)) << k;
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  for (std::uint64_t k : keys) ASSERT_FALSE(store.contains(k)) << k;
 }
 
-TEST(StateStoreTest, ConcurrentClaimersInsertEachKeyExactlyOnce) {
-  const std::size_t kKeys = 20000;
-  StateStore store(kKeys);
-  exec::ThreadPool pool(4);
-  std::atomic<std::size_t> inserted{0};
-  // Every key offered by two workers: exactly one wins.
-  pool.parallel_for(8, [&](std::size_t) {
-    Rng rng(99);  // same stream in every task: all claim the same keys
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      if (store.claim(rng.next()) == StateStore::Claim::kInserted)
-        inserted.fetch_add(1, std::memory_order_relaxed);
+// ---------------------------------------------------------------------------
+// Parallel exploration: the same search at every thread count.
+// ---------------------------------------------------------------------------
+
+/// What a search reports that must not depend on the thread count: the
+/// seven counts, the verdict, the state names, the violation and every
+/// counterexample step.  decodes and restores are left out: at more than
+/// one thread they also count work on duplicates found by different
+/// tasks.
+std::string outcome(const CheckResult& r) {
+  std::string out = "states " + std::to_string(r.states) +
+                    ", transitions " + std::to_string(r.transitions) +
+                    ", max_depth " + std::to_string(r.max_depth) +
+                    ", probes " + std::to_string(r.probes) +
+                    ", por_pruned " + std::to_string(r.por_pruned) +
+                    ", symmetry_hits " + std::to_string(r.symmetry_hits) +
+                    ", relabelings " + std::to_string(r.relabelings) +
+                    (r.hit_state_cap ? ", capped" : "") +
+                    (r.ok() ? ", ok" : ", violated") + "\nnames:";
+  for (const std::string& name : r.visited_state_names) out += " " + name;
+  for (const check::Violation& v : r.violations)
+    out += "\n" + std::string(v.invariant) + ": " + v.detail;
+  for (const check::CheckStep& step : r.counterexample) {
+    out += step.kind == check::CheckStep::Kind::kIssue ? "\nissue " :
+                                                          "\ndeliver ";
+    out += std::to_string(step.node) + " from " + std::to_string(step.src) +
+           " op " + std::to_string(static_cast<int>(step.op)) + " " +
+           step.msg.debug_string() + " hops " +
+           std::to_string(step.msg.hops) + " sender " +
+           std::to_string(step.msg.sender);
+  }
+  return out;
+}
+
+/// Runs `cfg` three times at each of 1, 2 and 4 worker threads; every run
+/// must report what the first one-thread run did, which is returned.
+CheckResult expect_same_at_every_thread_count(CheckConfig cfg,
+                                              const std::string& what) {
+  cfg.threads = 1;
+  const CheckResult first = check::check_protocol(cfg);
+  const std::string want = outcome(first);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (int run = 0; run < 3; ++run) {
+      if (threads == 1 && run == 0) continue;
+      cfg.threads = threads;
+      const CheckResult r = check::check_protocol(cfg);
+      EXPECT_EQ(r.threads_used, threads) << what;
+      EXPECT_EQ(outcome(r), want)
+          << what << " at " << threads << " threads, run " << run;
     }
-  });
-  EXPECT_EQ(inserted.load(), kKeys);
-  EXPECT_EQ(store.size(), kKeys);
+  }
+  return first;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel exploration equivalence.
-// ---------------------------------------------------------------------------
+// The configurations below keep CheckConfig's default budgets, one read
+// and one write per client, as the check_verify sweep does.
+
+CheckConfig migration_config(ProtocolKind from, ProtocolKind to,
+                             dsm::MigrationWorldOptions::Fault fault) {
+  dsm::MigrationWorldOptions options;
+  options.from = from;
+  options.to = to;
+  options.num_clients = 2;
+  options.fault = fault;
+  return dsm::migration_check_config(options);
+}
 
 TEST(ParallelCheckTest, ThreadCountDoesNotChangeResults) {
-  for (const auto kind :
-       {ProtocolKind::kWriteThrough, ProtocolKind::kBerkeley}) {
+  for (const ProtocolKind kind : protocols::kAllProtocols) {
     CheckConfig cfg;
     cfg.protocol = kind;
-    cfg.num_clients = 2;
-    cfg.threads = 1;
-    const CheckResult serial = check::check_protocol(cfg);
-    cfg.threads = 4;
-    const CheckResult parallel = check::check_protocol(cfg);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel.threads_used, 4u);
-    EXPECT_EQ(serial.states, parallel.states);
-    EXPECT_EQ(serial.transitions, parallel.transitions);
-    EXPECT_EQ(serial.probes, parallel.probes);
-    EXPECT_EQ(serial.max_depth, parallel.max_depth);
-    EXPECT_EQ(serial.por_pruned, parallel.por_pruned);
-    EXPECT_EQ(serial.visited_state_names, parallel.visited_state_names);
+    cfg.num_clients = 3;
+    const CheckResult r = expect_same_at_every_thread_count(
+        cfg, std::string(protocols::to_string(kind)) + " N=3");
+    EXPECT_TRUE(r.ok()) << protocols::to_string(kind);
+    EXPECT_FALSE(r.hit_state_cap) << protocols::to_string(kind);
   }
+}
+
+TEST(ParallelCheckTest, ThreadCountDoesNotChangeMigrationResults) {
+  for (const ProtocolKind from : protocols::kAllProtocols)
+    for (const ProtocolKind to : protocols::kAllProtocols) {
+      const CheckResult r = expect_same_at_every_thread_count(
+          migration_config(from, to, dsm::MigrationWorldOptions::Fault::kNone),
+          pair_name(from, to));
+      EXPECT_TRUE(r.ok()) << pair_name(from, to);
+      EXPECT_FALSE(r.hit_state_cap) << pair_name(from, to);
+    }
+}
+
+TEST(ParallelCheckTest, ThreadCountDoesNotChangeCounterexamples) {
+  // The two broken handoffs over every pair: 66 of the 128 worlds
+  // violate an invariant, each with its counterexample.
+  std::size_t violated = 0;
+  for (const auto fault : {dsm::MigrationWorldOptions::Fault::kSkipFence,
+                           dsm::MigrationWorldOptions::Fault::kNoSeed})
+    for (const ProtocolKind from : protocols::kAllProtocols)
+      for (const ProtocolKind to : protocols::kAllProtocols) {
+        const std::string what =
+            pair_name(from, to) +
+            (fault == dsm::MigrationWorldOptions::Fault::kNoSeed
+                 ? " without seed"
+                 : " without fence");
+        if (!expect_same_at_every_thread_count(
+                 migration_config(from, to, fault), what)
+                 .ok())
+          ++violated;
+      }
+  EXPECT_GT(violated, 0u);
+}
+
+TEST(ParallelCheckTest, StateCapIsExactAtEveryThreadCount) {
+  CheckConfig cfg;
+  cfg.protocol = ProtocolKind::kBerkeley;
+  cfg.num_clients = 3;
+  cfg.max_states = 1000;
+  const CheckResult r = expect_same_at_every_thread_count(cfg, "berkeley N=3");
+  EXPECT_EQ(r.states, 1000u);
+  EXPECT_TRUE(r.hit_state_cap);
 }
 
 }  // namespace

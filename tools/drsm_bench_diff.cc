@@ -100,13 +100,10 @@ bool is_acc_key(const std::string& key) {
   // After the four accuracy figures come the model checker's counts
   // (BENCH_check.json): visited states, explored transitions, BFS depth,
   // read probes, POR-pruned siblings, symmetry hits and relabeled
-  // encodings.  Each is exact at
-  // one worker thread, the count the committed report is generated with
-  // (DRSM_THREADS=1), and held to the same bit-exact standard as the
-  // analytic accuracy figures; symmetry_hits also moves whenever the
-  // state-key bytes or their hash change, and relabelings whenever the
-  // client signatures do.  At more threads the claim race can move them
-  // between runs, so compare only one-thread reports.
+  // encodings.  Each is the same at every worker thread count and held
+  // to the same bit-exact standard as the analytic accuracy figures;
+  // symmetry_hits also moves whenever the state-key bytes or their hash
+  // change, and relabelings whenever the client signatures do.
   static const char* const kKeys[] = {
       "acc",        "acc_analytic",  "acc_mean",  "discrepancy_percent",
       "states",     "transitions",   "max_depth", "probes",
